@@ -9,12 +9,7 @@ combinatorially in a declared orthonormal frame.
 
 from __future__ import annotations
 
-from .scalars import (
-    ParamPoly,
-    POLY_ZERO,
-    InexactDivision,
-    poly_div_exact,
-)
+from .scalars import ParamPoly, POLY_ZERO
 
 
 class UnknownGenerator(KeyError):
@@ -26,11 +21,7 @@ class DegreeError(ValueError):
 
 
 class SingularFrame(ArithmeticError):
-    """The frame-change matrix is identically singular."""
-
-
-class NonPolynomialCoefficient(ArithmeticError):
-    """A coefficient left the polynomial ring (e.g. a surviving 1/s_k)."""
+    """The frame forms do not span the base coframe."""
 
 
 class NotInFrameSpan(ValueError):
@@ -325,7 +316,9 @@ class OrthoFrame:
     """Declared orthonormal coframe of 7 one-forms over a base coframe.
 
     The orientation is frame[0] ^ ... ^ frame[6].  Frame-basis forms
-    live over the abstract generator names in `names`.
+    live over the abstract generator names in `names`.  The forms must
+    span the base coframe (their top wedge is not identically zero), so
+    `expand` is injective.
     """
 
     __slots__ = ("names", "forms")
@@ -340,6 +333,10 @@ class OrthoFrame:
                 raise DegreeError("frame elements must be degree 1")
             if f.gens != forms[0].gens:
                 raise ValueError("frame elements over different coframes")
+        if len(forms) != len(forms[0].gens):
+            raise SingularFrame("frame does not span the base coframe")
+        if wedge_all(forms).is_zero():
+            raise SingularFrame("wedge of the frame forms vanishes")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "forms", forms)
 
@@ -393,125 +390,6 @@ def hodge_star(x, of):
                     inv += 1
         out[comp] = -coeff if inv % 2 else coeff
     return Form(of.names, n - x.degree, out)
-
-
-class _Frac:
-    """Unreduced fraction of ParamPolys, for frame-change inversion."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        self.num = ParamPoly.coerce(num)
-        self.den = ParamPoly.coerce(1 if den is None else den)
-        if self.den.is_zero():
-            raise ZeroDivisionError
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError
-        return _Frac(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return _Frac(-self.num, self.den)
-
-    def to_poly(self):
-        try:
-            return poly_div_exact(self.num, self.den)
-        except InexactDivision as exc:
-            raise NonPolynomialCoefficient(str(exc))
-
-
-def frame_change_matrix(of):
-    """Rows i: frame[i] = sum_j M[i][j] * gen_j (ParamPoly entries)."""
-    gens = of.base_gens
-    return [
-        [f.terms.get((j,), POLY_ZERO) for j in range(len(gens))]
-        for f in of.forms
-    ]
-
-
-def _invert_matrix(mat):
-    n = len(mat)
-    a = [[_Frac(mat[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[_Frac(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if not a[row][col].is_zero():
-                piv = row
-                break
-        if piv is None:
-            raise SingularFrame("no pivot in column %d" % col)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j] / p
-            inv[col][j] = inv[col][j] / p
-        for row in range(n):
-            if row == col or a[row][col].is_zero():
-                continue
-            f = a[row][col]
-            for j in range(n):
-                a[row][j] = a[row][j] - f * a[col][j]
-                inv[row][j] = inv[row][j] - f * inv[col][j]
-    return inv
-
-
-def to_frame_basis(x, of):
-    """Rewrite a base-coframe form over the frame monomials.
-
-    Inverts the frame change over the fraction field and requires every
-    final coefficient to simplify back into ParamPoly; raises
-    NonPolynomialCoefficient otherwise, SingularFrame when the change
-    of basis is identically singular.
-    """
-    if x.gens != of.base_gens:
-        raise UnknownGenerator("form is not over the frame's base coframe")
-    n = of.dim
-    if len(of.base_gens) != n:
-        raise SingularFrame("frame does not span the base coframe")
-    minv = _invert_matrix(frame_change_matrix(of))
-    # gen_j = sum_i minv[j][i] * X_i, as frame 1-forms with _Frac coefficients
-    out = {}
-    for idx, coeff in x.terms.items():
-        # wedge of the expansions of each generator in idx
-        partial = {(): _Frac(coeff)}
-        for j in idx:
-            nxt = {}
-            for mono, c in partial.items():
-                for i in range(n):
-                    ci = minv[j][i]
-                    if ci.is_zero():
-                        continue
-                    merged, sign = _merge_sorted(mono, (i,))
-                    if merged is None:
-                        continue
-                    term = c * ci
-                    if sign < 0:
-                        term = -term
-                    nxt[merged] = nxt[merged] + term if merged in nxt else term
-            partial = nxt
-        for mono, c in partial.items():
-            out[mono] = out[mono] + c if mono in out else c
-    terms = {}
-    for mono, c in out.items():
-        p = c.to_poly()
-        if not p.is_zero():
-            terms[mono] = p
-    return Form(of.names, x.degree, terms)
 
 
 def gram_matrix(metric_terms, basis, gens):

@@ -184,12 +184,3 @@ def so3_matrix(a):
     # entry (i, j): i-th imaginary component of a e_j conj(a)
     return [[cols[j].c[i + 1] for j in range(3)] for i in range(3)]
 
-
-def verify_curvature_components(phi, cf):
-    """Curvature of a vector-valued connection form: d(phi) + phi ^ phi.
-
-    Component k of the result is d(phi_k) + 2 phi_i ^ phi_j.
-    """
-    if not phi.is_vector_valued():
-        raise ValueError("connection form must be vector valued")
-    return phi.d(cf) + quat_wedge(phi, phi)

@@ -27,6 +27,7 @@ from .scalars import (
     s_k,
     trig_div_exact,
     InexactDivision,
+    _exp_order_key,
 )
 from .exterior import (
     Form,
@@ -34,8 +35,8 @@ from .exterior import (
     OrthoFrame,
     ext_d,
     hodge_star,
-    to_frame_basis,
     gram_matrix,
+    wedge_all,
     DegreeError,
 )
 from .quaternionic import QuatForm, quat_wedge
@@ -205,10 +206,7 @@ class Su3Structure:
         x1, x2, x3, x4, x5, x6 = six
 
         def w(*fs):
-            out = fs[0]
-            for f in fs[1:]:
-                out = out.wedge(f)
-            return out
+            return wedge_all(fs)
 
         object.__setattr__(self, "forms", six)
         object.__setattr__(self, "xi", w(x1, x2) + w(x3, x4) + w(x5, x6))
@@ -223,10 +221,7 @@ class Su3Structure:
         raise AttributeError("Su3Structure is immutable")
 
     def volume(self):
-        out = self.forms[0]
-        for f in self.forms[1:]:
-            out = out.wedge(f)
-        return out
+        return wedge_all(self.forms)
 
     def invariants_check(self):
         vol4 = self.volume().scale(4)
@@ -269,14 +264,17 @@ def build_s7_squashed():
     return phi3, s7_frame(cf), cf
 
 
-def canonical_g2_form(frame):
-    """The seven signed frame monomials of a canonical G2 3-form.
+def g2_frame_form(names):
+    """X7 ^ xi + Re Xi over seven generator names: the seven signed
+    monomials of the canonical G2 3-form."""
+    xs = [Form.generator(names, n) for n in names]
+    su = Su3Structure(xs[:6])
+    return xs[6].wedge(su.xi) + su.re
 
-    Seventh frame element wedge xi, plus Re Xi of the first six; over
-    the base coframe.
-    """
-    su = Su3Structure(frame.forms[:6])
-    return frame.forms[6].wedge(su.xi) + su.re
+
+def canonical_g2_form(frame):
+    """The canonical G2 3-form of a frame, over the base coframe."""
+    return frame.expand(g2_frame_form(frame.names))
 
 
 def chi_four_form(cf):
@@ -300,11 +298,19 @@ def build_b7():
 
 
 def verify_np2(phi, frame, cf, identity="np2"):
-    """Check d(phi) = mu * star(phi) for a single exact constant mu."""
+    """Check d(phi) = mu * star(phi) for a single exact constant mu.
+
+    phi must be the canonical G2 form of the frame.  The star is taken
+    on its seven frame monomials, where it is a sign table; the frame
+    spans the base coframe, so the expansion check pins phi down.
+    """
     if phi.degree != 3:
         raise DegreeError("expected a 3-form")
+    phi_frame = g2_frame_form(frame.names)
+    if frame.expand(phi_frame) != phi:
+        raise NotProportional("phi is not the canonical G2 form of the frame")
     dphi = ext_d(phi, cf)
-    star = frame.expand(hodge_star(to_frame_basis(phi, frame), frame))
+    star = frame.expand(hodge_star(phi_frame, frame))
     mu = None
     for idx in sorted(set(dphi.terms) | set(star.terms)):
         a = dphi.terms.get(idx, POLY_ZERO).const_value()
@@ -495,10 +501,6 @@ def flow_residual(family):
     return _orbit_d(su.xi, cf) + ddt_re - su.im.scale(MU)
 
 
-def _exp_order_key(exp):
-    return (sum(exp), exp)
-
-
 def normalize_constraint(p):
     """Scale so the graded-lex leading coefficient is 1."""
     if p.is_zero():
@@ -549,10 +551,9 @@ def constraints_contain(constraints, target, bindings=None, max_shift=2):
     def vec(p):
         return {e: t.const_value() for e, t in p.terms.items() if not t.is_zero()}
 
-    rows = [vec(p) for p in constraints if not p.is_zero()]
-    # row-reduce the constraint vectors once
     basis = []
-    for row in rows:
+
+    def reduce(row):
         for pivot, pvec in basis:
             if pivot in row:
                 f = row[pivot]
@@ -561,25 +562,20 @@ def constraints_contain(constraints, target, bindings=None, max_shift=2):
                     for e in set(row) | set(pvec)
                     if not (c := row.get(e, ALG_ZERO) - f * pvec.get(e, ALG_ZERO)).is_zero()
                 }
+        return row
+
+    # row-reduce the constraint vectors once
+    for p in constraints:
+        row = reduce(vec(p))
         if row:
             pivot = max(row, key=_exp_order_key)
             inv = row[pivot].inverse()
             basis.append((pivot, {e: c * inv for e, c in row.items()}))
 
-    for k in range(max_shift + 1):
-        t = target if k == 0 else target * LAM ** k
-        row = vec(t)
-        for pivot, pvec in basis:
-            if pivot in row:
-                f = row[pivot]
-                row = {
-                    e: c
-                    for e in set(row) | set(pvec)
-                    if not (c := row.get(e, ALG_ZERO) - f * pvec.get(e, ALG_ZERO)).is_zero()
-                }
-        if not row:
-            return True
-    return False
+    return any(
+        not reduce(vec(target if k == 0 else target * LAM ** k))
+        for k in range(max_shift + 1)
+    )
 
 
 def _check_claim(constraints, claim):

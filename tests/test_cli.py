@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, report schema, config handling, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from g2cal import cli
 from g2cal.cli import main, SPACES
+from g2cal.structures import NotProportional
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "report-all.json"
 
 
 def run(capsys, *argv):
@@ -67,6 +72,27 @@ def test_report_all_deterministic(capsys):
     assert all(r["status"] in ("holds", "holds-with-mu") for r in reports)
     # every space contributes at least one report
     assert len(reports) >= len(SPACES)
+    # every committed golden report is reproduced
+    for want in json.loads(GOLDEN.read_text()):
+        assert want in reports
+
+
+def test_runner_error_becomes_fails_report(capsys, monkeypatch):
+    def broken():
+        raise NotProportional("conflicting ratios")
+
+    monkeypatch.setitem(cli.SPACE_RUNNERS, "connection", broken)
+    code, out, _ = run(capsys, "verify", "--space", "connection",
+                       "--format", "json")
+    assert code == 1
+    rep, = json.loads(out)
+    assert rep["identity"] == "connection"
+    assert rep["status"] == "fails"
+    assert rep["residual"] == "conflicting ratios"
+    monkeypatch.setattr(cli, "SPACES", ("gram-blocks", "connection"))
+    code, out, _ = run(capsys, "report-all", "--format", "json")
+    assert code == 1
+    assert [r["status"] for r in json.loads(out)] == ["holds", "fails"]
 
 
 def test_output_file(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Sparse exterior algebra: wedge, d, Hodge star, frame conversions."""
+"""Sparse exterior algebra: wedge, d, Hodge star, frames."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from g2cal.scalars import ParamPoly, alg, c_k, s_k
+from g2cal.scalars import c_k, s_k
 from g2cal.exterior import (
     Form,
     CoframeSpec,
@@ -15,7 +15,6 @@ from g2cal.exterior import (
     ext_d,
     d_squared_check,
     hodge_star,
-    to_frame_basis,
     wedge_all,
     UnknownGenerator,
     DegreeError,
@@ -143,26 +142,14 @@ def test_hodge_star_volume_and_units():
     assert hodge_star(vol, of) == one
 
 
-def test_to_frame_basis_roundtrip():
-    cf = _cyclic_coframe()
-    f1 = cf.gen("g1", c_k(1) * 2) + cf.gen("g2")
-    f2 = cf.gen("g2", s_k(1)) - cf.gen("g3")
-    f3 = cf.gen("g3") + cf.gen("t")
-    f4 = cf.gen("t")
-    of = OrthoFrame(("X1", "X2", "X3", "X4"), (f1, f2, f3, f4))
-    x = f1.wedge(f2) + f3.wedge(f4).scale(alg(3))
-    fb = to_frame_basis(x, of)
-    assert fb.gens == of.names
-    assert of.expand(fb) == x
-
-
 def test_singular_frame_rejected():
     cf = _cyclic_coframe()
     f1 = cf.gen("g1")
-    of = OrthoFrame(("X1", "X2", "X3", "X4"),
-                    (f1, f1, cf.gen("g3"), cf.gen("t")))
     with pytest.raises(SingularFrame):
-        to_frame_basis(cf.gen("g1"), of)
+        OrthoFrame(("X1", "X2", "X3", "X4"), (f1, f1, cf.gen("g3"), cf.gen("t")))
+    # too few forms to span the coframe
+    with pytest.raises(SingularFrame):
+        OrthoFrame(("X1", "X2", "X3"), (f1, cf.gen("g2"), cf.gen("g3")))
 
 
 def test_not_in_span_rejected():

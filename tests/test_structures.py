@@ -16,13 +16,15 @@ from g2cal.scalars import (
     s_k,
     TrigScalar,
 )
-from g2cal.exterior import ext_d, d_squared_check, to_frame_basis, wedge_all
+from g2cal.exterior import Form, OrthoFrame, ext_d, d_squared_check
 from g2cal.structures import (
     LAMBDA_CANON,
     MU_CANON,
+    S7_FRAME_NAMES,
     s7_coframe,
     b7_coframe,
     asd_two_forms,
+    beta_forms,
     verify_connection,
     verify_lemma_1_1,
     Su3Structure,
@@ -30,6 +32,7 @@ from g2cal.structures import (
     build_s7_squashed,
     build_b7,
     canonical_g2_form,
+    g2_frame_form,
     chi_four_form,
     verify_np2,
     NotProportional,
@@ -81,23 +84,18 @@ def test_su3_invariants():
 def test_squashed_build_equals_frame_pattern():
     phi, frame, cf = build_s7_squashed()
     assert phi == canonical_g2_form(frame)
-    # the triple product of the odd frame legs is one of the monomials
-    upsilon = wedge_all(frame.forms[0:6:2])
-    for mono, c in to_frame_basis(upsilon, frame).terms.items():
-        assert mono == (0, 2, 4)
-        assert c == P(1)
 
 
 def test_seven_term_frame_pattern():
+    want = {
+        (0, 1, 6): P(1), (2, 3, 6): P(1), (4, 5, 6): P(1),
+        (0, 2, 4): P(1), (0, 3, 5): P(-1), (1, 2, 5): P(-1),
+        (1, 3, 4): P(-1),
+    }
     for builder in (build_s7_squashed, build_b7):
         phi, frame, cf = builder()
-        fb = to_frame_basis(phi, frame)
-        want = {
-            (0, 1, 6): P(1), (2, 3, 6): P(1), (4, 5, 6): P(1),
-            (0, 2, 4): P(1), (0, 3, 5): P(-1), (1, 2, 5): P(-1),
-            (1, 3, 4): P(-1),
-        }
-        assert dict(fb.terms) == want
+        assert dict(g2_frame_form(frame.names).terms) == want
+        assert frame.expand(Form(frame.names, 3, want)) == phi
 
 
 def test_chi_is_minus_three_halves_base_volume():
@@ -127,6 +125,21 @@ def test_np2_rejects_non_proportional():
     x123 = frame.forms[0].wedge(frame.forms[1]).wedge(frame.forms[2])
     with pytest.raises(NotProportional):
         verify_np2(x123, frame, cf)
+
+
+@pytest.mark.parametrize(
+    "lam", [alg(1), alg(Fraction(1, 2)), alg(0, 0, Fraction(1, 5))],
+    ids=["1", "1/2", "1/sqrt5"],
+)
+def test_np2_rejects_wrong_squashing(lam):
+    # the canonical form of a frame squashed by lam != 2/sqrt5 passes the
+    # frame check but d(phi) and star(phi) disagree in their ratios
+    cf = s7_coframe()
+    forms = list(s7_frame(cf).forms)
+    forms[0:6:2] = [b.scale(lam) for b in beta_forms(cf)]
+    frame = OrthoFrame(S7_FRAME_NAMES, forms)
+    with pytest.raises(NotProportional, match="conflicting ratios"):
+        verify_np2(canonical_g2_form(frame), frame, cf)
 
 
 def test_gram_blocks():
