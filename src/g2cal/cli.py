@@ -11,19 +11,9 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-from .scalars import alg, InexactDivision
+from .scalars import InexactDivision
 from .exterior import d_squared_check, SingularFrame
-from .liealg import (
-    GAMMA_GENS,
-    epsilon_basis,
-    gamma_basis,
-    trace_pairing,
-    bracket,
-    invariant_three_form,
-    rho_action_check,
-)
 from . import structures as st
 from . import numeric
 
@@ -38,57 +28,6 @@ SPACES = (
 )
 
 COMMANDS = ("verify", "sweep", "constraints", "report-all")
-
-
-# -- lie-algebra reports -------------------------------------------------------
-
-def _trace_pairing_report():
-    eps = epsilon_basis()
-    gam = gamma_basis()
-    basis = eps + gam
-    failures = []
-    minus_two = alg(-2)
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            want = minus_two if i == j else alg(0)
-            if trace_pairing(x, y) != want:
-                failures.append("tr pairing (%d,%d)" % (i, j))
-    return st._report("trace-pairings", failures)
-
-
-def _rho_report():
-    checks = rho_action_check()
-    failures = [name for name, ok in checks.items() if name != "all" and not ok]
-    return st._report("rho-cycling", failures)
-
-
-def _three_form_report():
-    agree = invariant_three_form() == st.g2_frame_form(GAMMA_GENS)
-    return st._report(
-        "invariant-three-form", [] if agree else ["not the seven-term G2 form"]
-    )
-
-
-def _bracket_closure_report():
-    eps = epsilon_basis()
-    gam = gamma_basis()
-    half = alg(Fraction(-1, 2))
-    failures = []
-    for e in eps:
-        for g in gam:
-            x = bracket(e, g)
-            # x must lie in span(gamma): trace-orthogonal to every epsilon
-            for e2 in eps:
-                if not trace_pairing(x, e2).is_zero():
-                    failures.append("bracket leaves the complement")
-    # the complement's structure constants reproduce the 3-form coefficients
-    three = invariant_three_form()
-    lead = trace_pairing(bracket(gam[0], gam[1]), gam[6])
-    for (i, j, k), c in three.terms.items():
-        got = trace_pairing(bracket(gam[i], gam[j]), gam[k])
-        if got * lead.inverse() != c:
-            failures.append("structure constant (%d,%d,%d)" % (i, j, k))
-    return st._report("bracket-closure", failures)
 
 
 # -- space runners ---------------------------------------------------------------
@@ -144,12 +83,7 @@ SPACE_RUNNERS = {
     "lemma-1-1": lambda: [st.verify_lemma_1_1()],
     "connection": lambda: [st.verify_connection()],
     "gram-blocks": lambda: [st.gram_blocks_report()],
-    "lie-checks": lambda: [
-        _trace_pairing_report(),
-        _rho_report(),
-        _three_form_report(),
-        _bracket_closure_report(),
-    ],
+    "lie-checks": st.lie_check_reports,
 }
 
 # Exact-arithmetic failures a runner may raise; they become a fails report.

@@ -3,7 +3,8 @@
 Three rings, stacked:
 
   AlgebraicScalar -- the real field Q(sqrt3, sqrt5), stored as four
-      rationals q0 + q1*sqrt3 + q2*sqrt5 + q3*sqrt15.
+      integers over one positive common denominator,
+      (n0 + n1*sqrt3 + n2*sqrt5 + n3*sqrt15) / d.
   TrigScalar      -- finite Fourier series in t with AlgebraicScalar
       coefficients, canonical sparse form.
   ParamPoly       -- polynomials in the formal unknowns (lam, a, b, mu)
@@ -32,21 +33,25 @@ _SQRT5 = math.sqrt(5.0)
 _SQRT15 = math.sqrt(15.0)
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
-
-
 class AlgebraicScalar:
-    """Element q0 + q1*sqrt3 + q2*sqrt5 + q3*sqrt15 of Q(sqrt3, sqrt5)."""
+    """Element (n0 + n1*sqrt3 + n2*sqrt5 + n3*sqrt15) / d of Q(sqrt3, sqrt5).
 
-    __slots__ = ("q",)
+    Stored as the int tuple (n0, n1, n2, n3, d) with d > 0 and
+    gcd(n0, n1, n2, n3, d) == 1, so each value has one representation
+    and equality and hashing compare the tuples.  This is the integer
+    numerator-plus-common-denominator form of FLINT's fmpq_poly; all
+    arithmetic stays in Python ints.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
-        object.__setattr__(self, "q", (_frac(q0), _frac(q1), _frac(q2), _frac(q3)))
+        q = (q0, q1, q2, q3)
+        for x in q:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("expected int or Fraction, got %r" % (x,))
+        d = math.lcm(*(x.denominator for x in q))
+        _set_v(self, _reduced(*(x.numerator * (d // x.denominator) for x in q), d)._v)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicScalar is immutable")
@@ -56,40 +61,54 @@ class AlgebraicScalar:
         if isinstance(x, AlgebraicScalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return AlgebraicScalar(x)
+            return _raw((x.numerator, 0, 0, 0, x.denominator))
         raise TypeError("cannot coerce %r to AlgebraicScalar" % (x,))
 
+    @property
+    def q(self):
+        """The four rational coordinates over 1, sqrt3, sqrt5, sqrt15."""
+        n0, n1, n2, n3, d = self._v
+        return (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
+
     def is_zero(self):
-        return all(c == 0 for c in self.q)
+        return self._v == _ZERO_V
 
     def is_rational(self):
-        return self.q[1] == 0 and self.q[2] == 0 and self.q[3] == 0
+        v = self._v
+        return not (v[1] or v[2] or v[3])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not rational: %s" % self)
-        return self.q[0]
+        return Fraction(self._v[0], self._v[4])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = AlgebraicScalar(other)
-        if not isinstance(other, AlgebraicScalar):
+            other = AlgebraicScalar.coerce(other)
+        elif not isinstance(other, AlgebraicScalar):
             return NotImplemented
-        return self.q == other.q
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(("alg", self.q))
+        return hash(self._v)
 
     def __add__(self, other):
-        other = AlgebraicScalar.coerce(other)
-        a, b = self.q, other.q
-        return AlgebraicScalar(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        if other.__class__ is not AlgebraicScalar:
+            other = AlgebraicScalar.coerce(other)
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = other._v
+        if ad == bd:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _reduced(
+            a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad,
+            ad * bd,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.q
-        return AlgebraicScalar(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3, d = self._v
+        return _raw((-a0, -a1, -a2, -a3, d))
 
     def __sub__(self, other):
         return self + (-AlgebraicScalar.coerce(other))
@@ -98,26 +117,28 @@ class AlgebraicScalar:
         return AlgebraicScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = AlgebraicScalar.coerce(other)
-        a0, a1, a2, a3 = self.q
-        b0, b1, b2, b3 = other.q
+        if other.__class__ is not AlgebraicScalar:
+            other = AlgebraicScalar.coerce(other)
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = other._v
         # sqrt3^2 = 3, sqrt5^2 = 5, sqrt3*sqrt5 = sqrt15, sqrt15^2 = 15
-        return AlgebraicScalar(
+        return _reduced(
             a0 * b0 + 3 * a1 * b1 + 5 * a2 * b2 + 15 * a3 * b3,
             a0 * b1 + a1 * b0 + 5 * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 + 3 * (a1 * b3 + a3 * b1),
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            ad * bd,
         )
 
     __rmul__ = __mul__
 
     def conj3(self):
-        a = self.q
-        return AlgebraicScalar(a[0], -a[1], a[2], -a[3])
+        a0, a1, a2, a3, d = self._v
+        return _raw((a0, -a1, a2, -a3, d))
 
     def conj5(self):
-        a = self.q
-        return AlgebraicScalar(a[0], a[1], -a[2], -a[3])
+        a0, a1, a2, a3, d = self._v
+        return _raw((a0, a1, -a2, -a3, d))
 
     def inverse(self):
         if self.is_zero():
@@ -126,10 +147,12 @@ class AlgebraicScalar:
         c = self.conj3()
         u = self * c            # lies in Q(sqrt5)
         v = u.conj5()
-        norm = u * v            # rational
-        inv = c * v
-        n = norm.rational_value()
-        return AlgebraicScalar(inv.q[0] / n, inv.q[1] / n, inv.q[2] / n, inv.q[3] / n)
+        norm = u * v            # rational, n / nd
+        i0, i1, i2, i3, d = (c * v)._v
+        n, nd = norm._v[0], norm._v[4]
+        if n < 0:
+            n, nd = -n, -nd
+        return _reduced(i0 * nd, i1 * nd, i2 * nd, i3 * nd, d * n)
 
     def __truediv__(self, other):
         return self * AlgebraicScalar.coerce(other).inverse()
@@ -146,8 +169,9 @@ class AlgebraicScalar:
         return out
 
     def to_float(self):
-        a = self.q
-        return float(a[0]) + float(a[1]) * _SQRT3 + float(a[2]) * _SQRT5 + float(a[3]) * _SQRT15
+        # n / d on ints is correctly rounded, as float(Fraction(n, d)) is
+        n0, n1, n2, n3, d = self._v
+        return n0 / d + (n1 / d) * _SQRT3 + (n2 / d) * _SQRT5 + (n3 / d) * _SQRT15
 
     def render(self):
         """Canonical text form, e.g. "(2/5)*sqrt5" or "(1/2) + (-1)*sqrt3"."""
@@ -170,11 +194,35 @@ class AlgebraicScalar:
         return self.render()
 
 
+_ZERO_V = (0, 0, 0, 0, 1)
+_set_v = AlgebraicScalar._v.__set__
+_new = object.__new__
+
+
+def _raw(v):
+    """AlgebraicScalar with the already normalised tuple v; no checks."""
+    x = _new(AlgebraicScalar)
+    _set_v(x, v)
+    return x
+
+
+def _reduced(n0, n1, n2, n3, d):
+    """AlgebraicScalar (n0 + ... + n3*sqrt15) / d, for d > 0."""
+    g = math.gcd(d, n0, n1, n2, n3)
+    x = _new(AlgebraicScalar)
+    if g == 1:
+        _set_v(x, (n0, n1, n2, n3, d))
+    else:
+        _set_v(x, (n0 // g, n1 // g, n2 // g, n3 // g, d // g))
+    return x
+
+
 ALG_ZERO = AlgebraicScalar(0)
 ALG_ONE = AlgebraicScalar(1)
 SQRT3 = AlgebraicScalar(0, 1)
 SQRT5 = AlgebraicScalar(0, 0, 1)
 SQRT15 = AlgebraicScalar(0, 0, 0, 1)
+_HALF = AlgebraicScalar(Fraction(1, 2))
 
 
 def alg(q0, q1=0, q2=0, q3=0):
@@ -292,25 +340,24 @@ class TrigScalar:
             c, s = acc.get(n, (ALG_ZERO, ALG_ZERO))
             acc[n] = (c, s + coeff)
 
-        half = Fraction(1, 2)
         for m, (a1, b1) in self.terms.items():
             for n, (a2, b2) in other.terms.items():
                 cc = a1 * a2
                 if not cc.is_zero():
-                    put_cos(m - n, cc * half)
-                    put_cos(m + n, cc * half)
+                    put_cos(m - n, cc * _HALF)
+                    put_cos(m + n, cc * _HALF)
                 ss = b1 * b2
                 if not ss.is_zero():
-                    put_cos(m - n, ss * half)
-                    put_cos(m + n, -(ss * half))
+                    put_cos(m - n, ss * _HALF)
+                    put_cos(m + n, -(ss * _HALF))
                 cs = a1 * b2
                 if not cs.is_zero():
-                    put_sin(m + n, cs * half)
-                    put_sin(n - m, cs * half)
+                    put_sin(m + n, cs * _HALF)
+                    put_sin(n - m, cs * _HALF)
                 sc = b1 * a2
                 if not sc.is_zero():
-                    put_sin(m + n, sc * half)
-                    put_sin(m - n, sc * half)
+                    put_sin(m + n, sc * _HALF)
+                    put_sin(m - n, sc * _HALF)
         return TrigScalar(acc)
 
     __rmul__ = __mul__
@@ -404,14 +451,13 @@ def _k_is_zero(x):
 
 
 def _to_laurent(x):
-    half = alg(Fraction(1, 2))
     out = {}
     for n, (c, s) in x.terms.items():
         if n == 0:
             out[0] = _k_add(out.get(0, (ALG_ZERO, ALG_ZERO)), (c, ALG_ZERO))
         else:
-            out[n] = _k_add(out.get(n, (ALG_ZERO, ALG_ZERO)), (c * half, -(s * half)))
-            out[-n] = _k_add(out.get(-n, (ALG_ZERO, ALG_ZERO)), (c * half, s * half))
+            out[n] = _k_add(out.get(n, (ALG_ZERO, ALG_ZERO)), (c * _HALF, -(s * _HALF)))
+            out[-n] = _k_add(out.get(-n, (ALG_ZERO, ALG_ZERO)), (c * _HALF, s * _HALF))
     return {m: v for m, v in out.items() if not _k_is_zero(v)}
 
 

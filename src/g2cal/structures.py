@@ -2,8 +2,9 @@
 
 Builds the two explicit coframes, the connection/curvature data living
 on the first one, the two distinguished 3-forms with their orthonormal
-frames, the one-parameter hypersurface structures, and the parametric
-ansatz families whose residuals feed the constraint extraction.
+frames, the one-parameter hypersurface structures, the parametric
+ansatz families whose residuals feed the constraint extraction, and
+the so(5) checks behind the lie-checks space.
 """
 
 from __future__ import annotations
@@ -40,7 +41,17 @@ from .exterior import (
     DegreeError,
 )
 from .quaternionic import QuatForm, quat_wedge
-from .liealg import pullback_frame, B7_GENS
+from .liealg import (
+    B7_GENS,
+    GAMMA_GENS,
+    bracket,
+    epsilon_basis,
+    gamma_basis,
+    invariant_three_form,
+    pullback_frame,
+    rho_action_check,
+    trace_pairing,
+)
 
 
 class NotProportional(ArithmeticError):
@@ -408,6 +419,65 @@ def gram_blocks_report():
     return _report("gram-blocks", failures)
 
 
+# -- so(5) and its principal so(3) ---------------------------------------------
+
+def _trace_pairing_report():
+    basis = epsilon_basis() + gamma_basis()
+    failures = []
+    minus_two = alg(-2)
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            want = minus_two if i == j else alg(0)
+            if trace_pairing(x, y) != want:
+                failures.append("tr pairing (%d,%d)" % (i, j))
+    return _report("trace-pairings", failures)
+
+
+def _rho_report():
+    checks = rho_action_check()
+    failures = [name for name, ok in checks.items() if name != "all" and not ok]
+    return _report("rho-cycling", failures)
+
+
+def _three_form_report():
+    agree = invariant_three_form() == g2_frame_form(GAMMA_GENS)
+    return _report(
+        "invariant-three-form", [] if agree else ["not the seven-term G2 form"]
+    )
+
+
+def _bracket_closure_report():
+    eps = epsilon_basis()
+    gam = gamma_basis()
+    failures = []
+    for e in eps:
+        for g in gam:
+            x = bracket(e, g)
+            # x must lie in span(gamma): trace-orthogonal to every epsilon
+            for e2 in eps:
+                if not trace_pairing(x, e2).is_zero():
+                    failures.append("bracket leaves the complement")
+    # the complement's structure constants reproduce the 3-form coefficients
+    three = invariant_three_form()
+    lead = trace_pairing(bracket(gam[0], gam[1]), gam[6])
+    for (i, j, k), c in three.terms.items():
+        got = trace_pairing(bracket(gam[i], gam[j]), gam[k])
+        if got * lead.inverse() != c:
+            failures.append("structure constant (%d,%d,%d)" % (i, j, k))
+    return _report("bracket-closure", failures)
+
+
+def lie_check_reports():
+    """Trace pairings, rho cycling, the invariant 3-form and bracket
+    closure of so(5) = so(3) + complement, in this order."""
+    return [
+        _trace_pairing_report(),
+        _rho_report(),
+        _three_form_report(),
+        _bracket_closure_report(),
+    ]
+
+
 # -- parametric ansatz families ------------------------------------------------
 
 class AnsatzFamily:
@@ -665,8 +735,9 @@ def s7_canonical_claim():
 def verify_solution_set(family, system, claims, identity="solution-set"):
     """Check each claimed binding zeroes the extracted constraints.
 
-    system is "nhf", "flow", or "both".  A rejection pass perturbs each
-    claim and demands at least one constraint survives.
+    system is "nhf", "flow", or "both".  A rejection pass shifts each of
+    lam, a and b that a claim fixes, one at a time, and demands that at
+    least one constraint survives every shift.
     """
     residuals = []
     if system in ("nhf", "both"):
@@ -683,22 +754,22 @@ def verify_solution_set(family, system, claims, identity="solution-set"):
     for claim in claims:
         mus.append(_check_claim(constraints, claim))
 
-    # rejection pass: shifting a must break each claim
+    # rejection pass: shifting any one fixed parameter must break each claim
+    shift = alg(Fraction(1, 7))
     for claim in claims:
-        perturbed = dict(claim)
-        perturbed["a"] = claim.get("a", ALG_ZERO) + alg(Fraction(1, 7))
-        perturbed.pop("mu", None)
-        perturbed.pop("mu_num", None)
-        perturbed.pop("mu_den", None)
-        if "lam" not in perturbed:
-            perturbed["lam"] = alg(1)
-        try:
-            _check_claim(constraints, perturbed)
-        except ClaimFails:
-            continue
-        report = VerificationReport(
-            identity, "fails", residual="perturbed claim also passes"
-        )
-        return report, mus
+        for name in ("lam", "a", "b"):
+            if name not in claim:
+                continue
+            perturbed = {k: claim[k] for k in ("lam", "a", "b") if k in claim}
+            perturbed[name] = claim[name] + shift
+            perturbed.setdefault("lam", alg(1))
+            try:
+                _check_claim(constraints, perturbed)
+            except ClaimFails:
+                continue
+            report = VerificationReport(
+                identity, "fails", residual="perturbed claim also passes"
+            )
+            return report, mus
 
     return VerificationReport(identity, "holds"), mus

@@ -142,3 +142,95 @@ def test_param_poly_division_roundtrip():
 def test_param_poly_t_derivative():
     p = LAM * ParamPoly.const(c_k(1))
     assert p.deriv_t() == LAM * ParamPoly.const(-s_k(1))
+
+
+# -- AlgebraicScalar against a Fraction reference -------------------------------
+#
+# The reference keeps an element of Q(sqrt3, sqrt5) as the 4-tuple of
+# Fractions over 1, sqrt3, sqrt5, sqrt15.  derandomize=True draws the same
+# examples in every process.
+
+_TAGS = ("", "sqrt3", "sqrt5", "sqrt15")
+_ref_fracs = hs.fractions(min_value=-60, max_value=60, max_denominator=90)
+_ref_elems = hs.tuples(_ref_fracs, _ref_fracs, _ref_fracs, _ref_fracs)
+
+
+def _ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + 3 * a1 * b1 + 5 * a2 * b2 + 15 * a3 * b3,
+        a0 * b1 + a1 * b0 + 5 * a2 * b3 + 5 * a3 * b2,
+        a0 * b2 + a2 * b0 + 3 * a1 * b3 + 3 * a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def _ref_render(q):
+    parts = [
+        "(%s)%s" % (c, "*" + tag if tag else "")
+        for c, tag in zip(q, _TAGS)
+        if c != 0
+    ]
+    return " + ".join(parts) if parts else "0"
+
+
+def _ref_float(q):
+    return sum(float(c) * r for c, r in zip(q, (1.0, math.sqrt(3.0), math.sqrt(5.0), math.sqrt(15.0))))
+
+
+def _assert_canonical(x):
+    *n, d = x._v
+    assert all(type(v) is int for v in x._v)
+    assert d > 0 and math.gcd(d, *n) == 1
+
+
+@given(_ref_elems, _ref_elems)
+@settings(derandomize=True, max_examples=300)
+def test_algebraic_scalar_matches_fraction_reference(a, b):
+    x, y = alg(*a), alg(*b)
+    assert x.q == a and y.q == b
+    assert (x + y).q == _ref_add(a, b)
+    assert (x - y).q == _ref_add(a, tuple(-c for c in b))
+    assert (-x).q == tuple(-c for c in a)
+    assert (x * y).q == _ref_mul(a, b)
+    assert (x == y) == (a == b)
+    assert x.render() == _ref_render(a)
+    assert x.to_float() == _ref_float(a)
+    for z in (x + y, x - y, x * y, -x):
+        _assert_canonical(z)
+    if any(a):
+        assert _ref_mul(x.inverse().q, a) == (1, 0, 0, 0)
+        _assert_canonical(x.inverse())
+    if not any(a[1:]):
+        assert x.is_rational() and x.rational_value() == a[0]
+        assert x == a[0]
+    else:
+        assert not x.is_rational()
+        with pytest.raises(ValueError):
+            x.rational_value()
+
+
+@given(_ref_elems, _ref_elems, hs.integers(min_value=1, max_value=40))
+@settings(derandomize=True, max_examples=200)
+def test_equal_values_share_one_representation(a, b, k):
+    x, y = alg(*a), alg(*b)
+    # the same value reached three ways
+    ways = [x, (x + y) - y, (x * k) * alg(Fraction(1, k))]
+    if any(b):
+        ways.append((x * y) / y)
+    for w in ways:
+        _assert_canonical(w)
+        assert w == x and w._v == x._v and hash(w) == hash(x)
+
+
+def test_algebraic_scalar_rejects_non_rationals():
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            alg(bad)
+    with pytest.raises(TypeError):
+        alg(1, 0.5)

@@ -49,6 +49,7 @@ from g2cal.structures import (
     joint_system_claims,
     locus_claims,
     s7_canonical_claim,
+    lie_check_reports,
 )
 
 P = ParamPoly.const
@@ -286,3 +287,21 @@ def test_generic_point_leaves_nonzero_residual():
     res = flow_residual(AnsatzFamily("b7"))
     bound = [c.bind(bind) for c in res.terms.values()]
     assert any(not c.is_zero() for c in bound)
+
+
+def test_rejection_pass_shifts_every_fixed_parameter():
+    # lam is free on the a = b = 0 branch of Prop 5.1 (mu = -2/lam), so a
+    # claim that fixes lam = 1 there survives the shift of lam
+    rep, _ = verify_solution_set(
+        AnsatzFamily("s7"), "nhf", [{"lam": alg(1), "a": ALG_ZERO, "b": ALG_ZERO}]
+    )
+    assert rep.status == "fails"
+    assert rep.residual == "perturbed claim also passes"
+
+
+def test_lie_check_reports_in_order():
+    reps = lie_check_reports()
+    assert [r.identity for r in reps] == [
+        "trace-pairings", "rho-cycling", "invariant-three-form", "bracket-closure",
+    ]
+    assert all(r.status == "holds" for r in reps)
