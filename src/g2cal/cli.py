@@ -224,12 +224,12 @@ def _cmd_sweep(cfg):
         t_samples=numeric.default_t_samples(cfg["t-samples"]),
     )
     hits = [
-        {k: _round12(v) for k, v in h.items()}
+        {k: v if k == "count" else _round12(v) for k, v in h.items()}
         for h in sorted(hits, key=lambda h: (h["lam"], h["a"], h["b"]))
     ]
     payload = {"space": space, "family": which, "system": system, "hits": hits}
-    lines = ["lam=%(lam)g a=%(a)g b=%(b)g mu=%(mu)g residual=%(residual)g" % h
-             for h in hits]
+    lines = ["lam=%(lam)g a=%(a)g b=%(b)g mu=%(mu)g residual=%(residual)g"
+             " count=%(count)d" % h for h in hits]
     _emit(payload, cfg["format"], cfg.get("output"), lines or ["no hits"])
     return 0
 

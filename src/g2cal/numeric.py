@@ -3,13 +3,13 @@
 Reimplements the two ansatz families and their hypersurface residuals
 directly over float/complex coefficients (no exact-engine code paths),
 for cross-checking exact results and for the numeric parameter sweep.
-Coefficients may be numpy arrays, so a whole (lam, a, b) grid is
-evaluated at once per time sample.
+Coefficients may be numpy arrays, so a whole (lam, a, b) grid, or a
+batch of points, is evaluated at once per time sample.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -25,6 +25,9 @@ def s_k(k, t):
     return np.sin(t + (k - 1) * _TWO_THIRDS_PI)
 
 
+# _merge and _d_monomial are memoised: their keys are index tuples over
+# the seven generators, so the caches stay small, and both return tuples.
+@functools.cache
 def _merge(m1, m2):
     """Sorted merge of two disjoint index tuples with sign; None if clash."""
     out = []
@@ -106,18 +109,25 @@ def _b7_structure():
 _STRUCTURE = {"s7": _s7_structure(), "b7": _b7_structure()}
 
 
+@functools.cache
+def _d_monomial(which, m):
+    """d of the monomial m as [(monomial, coefficient)], one entry per term."""
+    table = _STRUCTURE[which]
+    out = []
+    for pos, g in enumerate(m):
+        sign = 1 if pos % 2 == 0 else -1
+        out.extend(wedge(table[g], {m[:pos] + m[pos + 1 :]: float(sign)}).items())
+    return tuple(out)
+
+
 def d_form(f, which):
     """Exterior derivative along the orbit (coefficients held fixed)."""
-    table = _STRUCTURE[which]
     out = {}
     for m, c in f.items():
-        for pos, g in enumerate(m):
-            sign = 1 if pos % 2 == 0 else -1
-            rest = {m[:pos] + m[pos + 1 :]: float(sign)}
-            for mono, v in wedge(table[g], rest).items():
-                cv = c * v
-                out[mono] = out[mono] + cv if mono in out else cv
-    return {m: c for m, c in out.items()}
+        for mono, v in _d_monomial(which, m):
+            cv = c * v
+            out[mono] = out[mono] + cv if mono in out else cv
+    return out
 
 
 def frame_z(which, lam, a, b, t):
@@ -144,8 +154,11 @@ def _im(f):
     return {m: np.imag(c) for m, c in f.items()}
 
 
-def su3_data(which, lam, a, b, t):
-    """xi, Re Xi, Im Xi, d/dt Re Xi as real-coefficient forms."""
+def _system_parts(which, systems, lam, a, b, t):
+    """[(r0, r1)] per system at one t sample, sharing one frame.
+
+    Builds Z_k, xi and Xi once; d/dt Re Xi only when "flow" is asked for.
+    """
     zs, dzs = frame_z(which, lam, a, b, t)
     z1, z2, z3 = zs
     xi = {}
@@ -156,22 +169,25 @@ def su3_data(which, lam, a, b, t):
             v = np.real(0.5j * c)
             xi[m] = xi[m] + v if m in xi else v
     big = wedge(wedge(z1, z2), z3)
-    dbig = add(
-        wedge(wedge(dzs[0], z2), z3),
-        wedge(wedge(z1, dzs[1]), z3),
-        wedge(wedge(z1, z2), dzs[2]),
-    )
-    return xi, _re(big), _im(big), _re(dbig)
+    out = []
+    for system in systems:
+        if system == "nhf":
+            out.append((d_form(_re(big), which), scale(wedge(xi, xi), 0.5)))
+        elif system == "flow":
+            dbig = add(
+                wedge(wedge(dzs[0], z2), z3),
+                wedge(wedge(z1, dzs[1]), z3),
+                wedge(wedge(z1, z2), dzs[2]),
+            )
+            out.append((add(d_form(xi, which), _re(dbig)), _im(big)))
+        else:
+            raise ValueError("unknown system %r" % system)
+    return out
 
 
 def residual_parts(which, system, lam, a, b, t):
     """(r0, r1) with residual = r0 - mu * r1, per base monomial."""
-    xi, re, im, ddt_re = su3_data(which, lam, a, b, t)
-    if system == "nhf":
-        return d_form(re, which), scale(wedge(xi, xi), 0.5)
-    if system == "flow":
-        return add(d_form(xi, which), ddt_re), im
-    raise ValueError("unknown system %r" % system)
+    return _system_parts(which, (system,), lam, a, b, t)[0]
 
 
 def _systems(system):
@@ -181,9 +197,9 @@ def _systems(system):
 def residual_max(which, system, lam, a, b, mu, t_samples):
     """Max |residual coefficient| over systems, monomials and samples."""
     worst = 0.0
+    systems = _systems(system)
     for t in t_samples:
-        for sys_name in _systems(system):
-            r0, r1 = residual_parts(which, sys_name, lam, a, b, t)
+        for r0, r1 in _system_parts(which, systems, lam, a, b, t):
             for m, c in add(r0, scale(r1, -mu)).items():
                 worst = np.maximum(worst, np.abs(c))
     return worst
@@ -194,9 +210,9 @@ def best_mu_residual(which, system, lam, a, b, t_samples):
     num = 0.0
     den = 0.0
     parts = []
+    systems = _systems(system)
     for t in t_samples:
-        for sys_name in _systems(system):
-            r0, r1 = residual_parts(which, sys_name, lam, a, b, t)
+        for r0, r1 in _system_parts(which, systems, lam, a, b, t):
             parts.append((r0, r1))
             for m in set(r0) | set(r1):
                 c0 = r0.get(m, 0.0)
@@ -228,49 +244,50 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
 
     Steps are confined to `bounds` (the sweep box) so the polish cannot
     drift toward the degenerate lam -> 0 region, where every residual
-    collapses for scaling reasons alone.
+    collapses for scaling reasons alone.  Each step costs two batched
+    evaluations: the point with its six central-difference neighbours,
+    then every in-box candidate of the halving line search at once.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     h = 1e-6
+    stencil = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
+    halvings = np.ldexp(1.0, -np.arange(40))
 
-    def f(p):
+    def f(points):
         mu, res = best_mu_residual(
-            which, system, float(p[0]), float(p[1]), float(p[2]), t_samples
+            which, system, points[:, 0], points[:, 1], points[:, 2], t_samples
         )
-        return float(mu), float(res)
+        return np.broadcast_to(mu, res.shape), res
 
-    mu, res = f(x)
+    def probe(p):
+        mus, ress = f(p + stencil)
+        return float(mus[0]), float(ress[0]), (ress[1:4] - ress[4:7]) / (2 * h)
+
+    mu, res, grad = probe(x)
     for _ in range(60):
         if res < tolerance:
             break
-        grad = np.zeros(3)
-        for i in range(3):
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            grad[i] = (f(xp)[1] - f(xm)[1]) / (2 * h)
         norm = np.dot(grad, grad)
         if norm == 0:
             break
         step = res / norm * grad
-        # backtracking line search on the residual itself
-        improved = False
-        for _ in range(40):
-            xn = x - step
-            if xn[0] <= 1e-3 or np.any(xn < lo) or np.any(xn > hi):
-                step = step / 2
-                continue
-            mun, resn = f(xn)
-            if resn < res:
-                x, mu, res = xn, mun, resn
-                improved = True
-                break
-            step = step / 2
-        if not improved:
+        # backtracking line search on the residual itself: the first
+        # in-box halving that improves is taken
+        cands = x - halvings[:, None] * step
+        inside = (cands[:, 0] > 1e-3) & np.all((cands >= lo) & (cands <= hi), axis=1)
+        cands = cands[inside]
+        if not len(cands):
             break
+        mus, ress = f(cands)
+        better = np.flatnonzero(ress < res)
+        if not better.size:
+            break
+        k = better[0]
+        x, mu, res = cands[k], float(mus[k]), float(ress[k])
+        if res >= tolerance:
+            grad = probe(x)[2]
     return tuple(float(v) for v in x), mu, res
 
 
@@ -287,10 +304,12 @@ def numeric_sweep(
 ):
     """Grid search for residual zeros, chunked over lambda.
 
-    Returns a list of dicts {lam, a, b, mu, residual}: every grid point
-    whose fitted residual is below tolerance, plus (when refine is set)
-    polished local minima that converge below tolerance, so isolated
-    zeros lying between grid points are still recovered within a cell.
+    Returns a list of dicts {lam, a, b, mu, residual, count}: every grid
+    point whose fitted residual is below tolerance (count 1), plus (when
+    refine is set) polished local minima that converge below tolerance,
+    so isolated zeros lying between grid points are still recovered
+    within a cell.  Polished zeros closer than one cell are one hit: the
+    lowest-residual point, with count the number of polishes that met it.
     """
     if t_samples is None:
         t_samples = default_t_samples()
@@ -314,6 +333,7 @@ def numeric_sweep(
                     "b": float(bvals[j]),
                     "mu": float(mu[i, j]),
                     "residual": float(res[i, j]),
+                    "count": 1,
                 }
             )
         if refine:
@@ -324,6 +344,7 @@ def numeric_sweep(
         minima.sort()
         best = minima[0][0]
         bounds = (lambda_range, a_range, b_range)
+        polished = []
         for res0, lam, av, bv in minima:
             if res0 > max(100 * best, 1e3 * tolerance):
                 continue
@@ -331,13 +352,32 @@ def numeric_sweep(
                 which, system, (lam, av, bv), t_samples, tolerance, bounds
             )
             if res < tolerance:
-                hits.append(
+                polished.append(
                     {
                         "lam": point[0],
                         "a": point[1],
                         "b": point[2],
                         "mu": float(mu),
                         "residual": float(res),
+                        "count": 1,
                     }
                 )
+        hits = _merge_hits(polished, resolution)
     return hits
+
+
+def _merge_hits(hits, resolution):
+    """One hit per cluster closer than `resolution` in (lam, a, b).
+
+    Hits are taken in order of residual; each joins the first kept hit
+    within one cell, whose count it raises, or else is kept itself.
+    """
+    kept = []
+    for h in sorted(hits, key=lambda h: h["residual"]):
+        for k in kept:
+            if max(abs(h[v] - k[v]) for v in ("lam", "a", "b")) < resolution:
+                k["count"] += 1
+                break
+        else:
+            kept.append(h)
+    return kept

@@ -132,6 +132,16 @@ def test_sweep_command(capsys):
     assert {h["b"] for h in hits} == {-1.0, 0.0}
     for h in hits:
         assert h["mu"] == pytest.approx(-4.0, abs=1e-6)
+        assert h["count"] == 1
+    code, out, _ = run(
+        capsys, "sweep", "--space", "s7-squashed",
+        "--lambda-min", "0.5", "--lambda-max", "0.5",
+        "--a-min", "0", "--a-max", "0", "--b-min", "0", "--b-max", "0",
+        "--resolution", "0.5", "--t-samples", "5",
+    )
+    assert code == 0
+    assert out.startswith("lam=0.5 a=0 b=0 mu=-4 ")
+    assert out.rstrip().endswith(" count=1")
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):

@@ -4,6 +4,7 @@ import math
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from g2cal.scalars import alg
@@ -103,6 +104,7 @@ def test_sweep_recovers_round_family_lines():
     for h in hits:
         assert min(abs(h["b"]), abs(h["b"] + 1.0)) < 1e-9
         assert abs(h["mu"] + 2.0 / h["lam"]) < 1e-6
+        assert h["count"] == 1
     lams = {round(h["lam"], 6) for h in hits}
     assert len(lams) == 6  # every lambda value on the grid appears
 
@@ -137,3 +139,90 @@ def test_sweep_empty_region():
         refine=False,
     )
     assert hits == []
+
+
+def _parts_by_system(which, lam, a, b, samples):
+    """Per-sample nhf and flow parts, each from its own residual_parts call."""
+    return [
+        numeric.residual_parts(which, system, lam, a, b, t)
+        for t in samples
+        for system in ("nhf", "flow")
+    ]
+
+
+def _reference_best_mu(which, lam, a, b, samples):
+    parts = _parts_by_system(which, lam, a, b, samples)
+    num = den = 0.0
+    for r0, r1 in parts:
+        for m in set(r0) | set(r1):
+            num = num + r0.get(m, 0.0) * r1.get(m, 0.0)
+            den = den + r1.get(m, 0.0) ** 2
+    mu = num / den
+    return mu, _reference_max(parts, mu)
+
+
+def _reference_max(parts, mu):
+    worst = 0.0
+    for r0, r1 in parts:
+        for m in set(r0) | set(r1):
+            worst = np.maximum(worst, np.abs(r0.get(m, 0.0) - mu * r1.get(m, 0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize(
+    "lam, a, b",
+    [
+        (0.9, 0.4, -0.3),
+        (1.3, np.array([[-1.0], [0.2], [1.5]]), np.array([[-0.7, 0.0, 0.3, 1.1]])),
+    ],
+    ids=["point", "mesh"],
+)
+def test_shared_frame_matches_residual_parts(which, lam, a, b):
+    samples = numeric.default_t_samples(5)
+    mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
+    ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
+    np.testing.assert_allclose(mu, ref_mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res, ref_res, rtol=0, atol=1e-12)
+    worst = numeric.residual_max(which, "both", lam, a, b, -1.7, samples)
+    ref_worst = _reference_max(_parts_by_system(which, lam, a, b, samples), -1.7)
+    np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+def test_batched_points_match_scalar_calls(which):
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(0.5, 1.5, 6)
+    a = rng.uniform(-1.0, 1.0, 6)
+    b = rng.uniform(-1.0, 1.0, 6)
+    samples = numeric.default_t_samples()
+    mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
+    assert mu.shape == res.shape == (6,)
+    for k in range(6):
+        mu_k, res_k = numeric.best_mu_residual(
+            which, "both", float(lam[k]), float(a[k]), float(b[k]), samples
+        )
+        assert abs(mu[k] - mu_k) < 1e-12
+        assert abs(res[k] - res_k) < 1e-12
+
+
+def test_polish_is_batched_and_hits_merge(monkeypatch):
+    calls = []
+    evaluate = numeric.best_mu_residual
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(numeric, "best_mu_residual", counting)
+    hits = numeric.numeric_sweep("b7", "both", lambda_range=(0.8, 1.0))
+    assert len(calls) <= 150
+    # the five polished grid minima all reach the joint zero: one hit
+    assert len(hits) == 1
+    (hit,) = hits
+    assert hit["count"] == 5
+    assert hit["residual"] < 1e-6
+    assert abs(hit["lam"] - LAMBDA_CANON.to_float()) < 1e-6
+    assert abs(hit["a"] - 0.5) < 1e-6
+    assert abs(hit["b"]) < 1e-6
+    assert abs(hit["mu"] - MU_CANON.to_float()) < 1e-6
