@@ -12,10 +12,8 @@ import json
 import sys
 import time
 
-from .scalars import InexactDivision
 from .exterior import d_squared_check, SingularFrame
 from . import structures as st
-from . import numeric
 
 SPACES = (
     "s7-squashed",
@@ -87,7 +85,7 @@ SPACE_RUNNERS = {
 }
 
 # Exact-arithmetic failures a runner may raise; they become a fails report.
-_RUNNER_ERRORS = (st.NotProportional, InexactDivision, SingularFrame)
+_RUNNER_ERRORS = (st.NotProportional, SingularFrame)
 
 
 def _run_space(space):
@@ -212,6 +210,18 @@ def _cmd_sweep(cfg):
     if space not in _FAMILY_OF_SPACE:
         sys.stderr.write("space %r has no parametric family\n" % space)
         return 2
+    for name in ("lambda", "a", "b"):
+        if not cfg[name + "-min"] <= cfg[name + "-max"]:
+            sys.stderr.write("empty box: --%s-min exceeds --%s-max\n" % (name, name))
+            return 2
+    if not cfg["resolution"] > 0:
+        sys.stderr.write("--resolution must be positive\n")
+        return 2
+    if cfg["t-samples"] < 1:
+        sys.stderr.write("--t-samples must be at least 1\n")
+        return 2
+    from . import numeric  # numpy is needed by sweep only
+
     which, system = _FAMILY_OF_SPACE[space]
     hits = numeric.numeric_sweep(
         which,

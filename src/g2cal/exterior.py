@@ -184,9 +184,6 @@ class Form:
                     out[merged] = cur
         return Form(self.gens, deg, out)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     # -- helpers -----------------------------------------------------------
 
     def coefficient(self, names):
@@ -197,9 +194,6 @@ class Form:
 
     def map_coefficients(self, fn):
         return Form(self.gens, self.degree, {i: fn(c) for i, c in self.terms.items()})
-
-    def monomials(self):
-        return sorted(self.terms)
 
     def render(self):
         if not self.terms:
@@ -212,10 +206,6 @@ class Form:
 
     def __repr__(self):
         return "Form<deg %d>(%s)" % (self.degree, self.render())
-
-
-def wedge(x, y):
-    return x.wedge(y)
 
 
 def wedge_all(forms):
@@ -301,15 +291,7 @@ def ext_d(x, cf):
 
 def d_squared_check(cf):
     """True iff d(d(g)) vanishes for every generator."""
-    probe = CoframeSpec.__new__(CoframeSpec)
-    object.__setattr__(probe, "gens", cf.gens)
-    object.__setattr__(probe, "t_name", cf.t_name)
-    object.__setattr__(probe, "structure", cf.structure)
-    for g in cf.gens:
-        dg = cf.structure[g]
-        if not ext_d(dg, probe).is_zero():
-            return False
-    return True
+    return all(ext_d(cf.structure[g], cf).is_zero() for g in cf.gens)
 
 
 class OrthoFrame:
@@ -350,9 +332,6 @@ class OrthoFrame:
     @property
     def base_gens(self):
         return self.forms[0].gens
-
-    def mono(self, names, coeff=1):
-        return Form.monomial(self.names, names, coeff)
 
     def expand(self, x):
         """Rewrite a frame-basis form over the base coframe."""

@@ -276,7 +276,7 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
         # backtracking line search on the residual itself: the first
         # in-box halving that improves is taken
         cands = x - halvings[:, None] * step
-        inside = (cands[:, 0] > 1e-3) & np.all((cands >= lo) & (cands <= hi), axis=1)
+        inside = (np.abs(cands[:, 0]) > 1e-3) & np.all((cands >= lo) & (cands <= hi), axis=1)
         cands = cands[inside]
         if not len(cands):
             break

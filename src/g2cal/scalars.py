@@ -10,22 +10,13 @@ Three rings, stacked:
   ParamPoly       -- polynomials in the formal unknowns (lam, a, b, mu)
       with TrigScalar coefficients.
 
-All values are immutable.  Division is only ever attempted exactly;
-an InexactDivision is raised when the quotient leaves the ring.
+All values are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-class MissingBinding(KeyError):
-    """An occurring unknown was left unbound in a substitution."""
-
-
-class InexactDivision(ArithmeticError):
-    """Exact division failed (quotient not in the ring)."""
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -377,9 +368,6 @@ class TrigScalar:
             total += c.to_float() * math.cos(n * t) + s.to_float() * math.sin(n * t)
         return total
 
-    def max_freq(self):
-        return max(self.terms) if self.terms else 0
-
     def render(self):
         if not self.terms:
             return "0"
@@ -422,96 +410,6 @@ def c_k(k):
 def s_k(k):
     """sin(t + 2*pi*(k-1)/3) expanded over cos t, sin t."""
     return TrigScalar({1: (_SIN_THETA[k], _COS_THETA[k])})
-
-
-# ---------------------------------------------------------------------------
-# Exact division of trigonometric polynomials, via the Laurent model
-# z = exp(i t) over the complexified field.
-
-def _k_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-def _k_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-def _k_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-def _k_div(x, y):
-    nrm = y[0] * y[0] + y[1] * y[1]
-    if nrm.is_zero():
-        raise ZeroDivisionError
-    inv = nrm.inverse()
-    re = (x[0] * y[0] + x[1] * y[1]) * inv
-    im = (x[1] * y[0] - x[0] * y[1]) * inv
-    return (re, im)
-
-def _k_is_zero(x):
-    return x[0].is_zero() and x[1].is_zero()
-
-
-def _to_laurent(x):
-    out = {}
-    for n, (c, s) in x.terms.items():
-        if n == 0:
-            out[0] = _k_add(out.get(0, (ALG_ZERO, ALG_ZERO)), (c, ALG_ZERO))
-        else:
-            out[n] = _k_add(out.get(n, (ALG_ZERO, ALG_ZERO)), (c * _HALF, -(s * _HALF)))
-            out[-n] = _k_add(out.get(-n, (ALG_ZERO, ALG_ZERO)), (c * _HALF, s * _HALF))
-    return {m: v for m, v in out.items() if not _k_is_zero(v)}
-
-
-def _from_laurent(lau):
-    terms = {}
-    for m, v in lau.items():
-        if m < 0:
-            continue
-        if m == 0:
-            if not v[1].is_zero():
-                raise InexactDivision("non-real constant term after division")
-            terms[0] = (v[0], ALG_ZERO)
-        else:
-            conj = lau.get(-m, (ALG_ZERO, ALG_ZERO))
-            if conj != (v[0], -v[1]):
-                raise InexactDivision("non-real quotient after division")
-            terms[m] = (v[0] * 2, -(v[1] * 2))
-    return TrigScalar(terms)
-
-
-def trig_div_exact(num, den):
-    """Return num/den when den divides num in the trig-polynomial ring."""
-    num = TrigScalar.coerce(num)
-    den = TrigScalar.coerce(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero TrigScalar")
-    if num.is_zero():
-        return TRIG_ZERO
-    nl, dl = _to_laurent(num), _to_laurent(den)
-    # shift both to ordinary polynomials in z
-    nmin, dmin = min(nl), min(dl)
-    npoly = {m - nmin: v for m, v in nl.items()}
-    dpoly = {m - dmin: v for m, v in dl.items()}
-    ndeg, ddeg = max(npoly), max(dpoly)
-    if ndeg < ddeg:
-        raise InexactDivision("degree too small")
-    quot = {}
-    rem = dict(npoly)
-    lead = dpoly[ddeg]
-    while rem:
-        rdeg = max(rem)
-        if rdeg < ddeg:
-            raise InexactDivision("nonzero remainder")
-        q = _k_div(rem[rdeg], lead)
-        quot[rdeg - ddeg] = q
-        for e, v in dpoly.items():
-            k = e + rdeg - ddeg
-            nv = _k_sub(rem.get(k, (ALG_ZERO, ALG_ZERO)), _k_mul(q, v))
-            if _k_is_zero(nv):
-                rem.pop(k, None)
-            else:
-                rem[k] = nv
-    shift = nmin - dmin
-    return _from_laurent({e + shift: v for e, v in quot.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -631,32 +529,6 @@ class ParamPoly:
     def deriv_t(self):
         return ParamPoly({e: c.deriv() for e, c in self.terms.items()})
 
-    def occurring_unknowns(self):
-        occ = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    occ.add(UNKNOWNS[i])
-        return occ
-
-    def substitute(self, bindings):
-        """Specialize every unknown; returns a TrigScalar.
-
-        Raises MissingBinding if an occurring unknown is unbound.
-        """
-        missing = self.occurring_unknowns() - set(bindings)
-        if missing:
-            raise MissingBinding(sorted(missing)[0])
-        total = TRIG_ZERO
-        for exp, coeff in self.terms.items():
-            factor = TrigScalar.coerce(coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    val = AlgebraicScalar.coerce(bindings[UNKNOWNS[i]])
-                    factor = factor * TrigScalar.const(val ** e)
-            total = total + factor
-        return total
-
     def bind(self, bindings):
         """Partially specialize; returns a ParamPoly over the rest."""
         out = {}
@@ -725,46 +597,8 @@ class ParamPoly:
 
 
 POLY_ZERO = ParamPoly({})
-POLY_ONE = ParamPoly.const(1)
 LAM = ParamPoly.unknown("lam")
 A_UNK = ParamPoly.unknown("a")
 B_UNK = ParamPoly.unknown("b")
 MU = ParamPoly.unknown("mu")
 
-
-def _exp_order_key(exp):
-    return (sum(exp), exp)
-
-
-def poly_div_exact(num, den):
-    """Exact division in ParamPoly; raises InexactDivision on failure.
-
-    Long division against the leading term in graded-lex order.  The
-    trig coefficient ring is an integral domain, so when an exact
-    quotient exists every leading-coefficient division is exact too.
-    """
-    num = ParamPoly.coerce(num)
-    den = ParamPoly.coerce(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero ParamPoly")
-    if num.is_zero():
-        return POLY_ZERO
-    den_lead = max(den.terms, key=_exp_order_key)
-    den_lc = den.terms[den_lead]
-    quot = {}
-    rem = dict(num.terms)
-    while rem:
-        lead = max(rem, key=_exp_order_key)
-        diff = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(d < 0 for d in diff):
-            raise InexactDivision("monomial %r not divisible" % (lead,))
-        qc = trig_div_exact(rem[lead], den_lc)
-        quot[diff] = quot.get(diff, TRIG_ZERO) + qc
-        for e, c in den.terms.items():
-            k = tuple(a + b for a, b in zip(e, diff))
-            cur = rem.get(k, TRIG_ZERO) - qc * c
-            if cur.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = cur
-    return ParamPoly(quot)

@@ -16,7 +16,6 @@ from .scalars import (
     AlgebraicScalar,
     ALG_ZERO,
     TrigScalar,
-    TRIG_ZERO,
     ParamPoly,
     POLY_ZERO,
     LAM,
@@ -26,9 +25,6 @@ from .scalars import (
     alg,
     c_k,
     s_k,
-    trig_div_exact,
-    InexactDivision,
-    _exp_order_key,
 )
 from .exterior import (
     Form,
@@ -173,8 +169,7 @@ def verify_connection():
     # kappa read off the first component
     got = curv.components[1].coefficient(("dt", "e1")).const_value()
     ref = omega[0].coefficient(("dt", "e1")).const_value()
-    kappa = trig_div_exact(got * 2, ref)
-    if not (kappa.is_const() and kappa.const_value() == 1):
+    if got * 2 != ref:
         failures.append("kappa != 1")
 
     # Bianchi-type identity: d(Phi) + 2 Im(phi ^ Phi) = 0
@@ -313,7 +308,10 @@ def verify_np2(phi, frame, cf, identity="np2"):
 
     phi must be the canonical G2 form of the frame.  The star is taken
     on its seven frame monomials, where it is a sign table; the frame
-    spans the base coframe, so the expansion check pins phi down.
+    spans the base coframe, so the expansion check pins phi down and
+    star(phi) is nonzero.  mu is read off one nonzero Fourier
+    coefficient of star(phi); one form comparison then checks it
+    against every other coefficient.
     """
     if phi.degree != 3:
         raise DegreeError("expected a 3-form")
@@ -322,26 +320,13 @@ def verify_np2(phi, frame, cf, identity="np2"):
         raise NotProportional("phi is not the canonical G2 form of the frame")
     dphi = ext_d(phi, cf)
     star = frame.expand(hodge_star(phi_frame, frame))
-    mu = None
-    for idx in sorted(set(dphi.terms) | set(star.terms)):
-        a = dphi.terms.get(idx, POLY_ZERO).const_value()
-        b = star.terms.get(idx, POLY_ZERO).const_value()
-        if b.is_zero():
-            if not a.is_zero():
-                raise NotProportional("monomial %r present only in d(phi)" % (idx,))
-            continue
-        try:
-            q = trig_div_exact(a, b)
-        except InexactDivision:
-            raise NotProportional("non-constant ratio at %r" % (idx,))
-        if not q.is_const():
-            raise NotProportional("t-dependent ratio at %r" % (idx,))
-        qv = q.const_value()
-        if mu is None:
-            mu = qv
-        elif mu != qv:
-            raise NotProportional("conflicting ratios")
-    if mu is None or mu.is_zero():
+    idx, coeff = next(iter(star.terms.items()))
+    n, (c, s) = next(iter(coeff.const_value().terms.items()))
+    dc, ds = dphi.terms.get(idx, POLY_ZERO).const_value().terms.get(n, (ALG_ZERO, ALG_ZERO))
+    mu = dc / c if not c.is_zero() else ds / s
+    if dphi != star.scale(mu):
+        raise NotProportional("conflicting ratios")
+    if mu.is_zero():
         return VerificationReport(identity, "fails", residual="mu is zero")
     return VerificationReport(identity, "holds-with-mu", mu=mu)
 
@@ -569,6 +554,10 @@ def flow_residual(family):
     su = family.su3(cf)
     ddt_re = su.re.map_coefficients(lambda c: c.deriv_t())
     return _orbit_d(su.xi, cf) + ddt_re - su.im.scale(MU)
+
+
+def _exp_order_key(exp):
+    return (sum(exp), exp)
 
 
 def normalize_constraint(p):

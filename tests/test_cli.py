@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, report schema, config handling, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +146,37 @@ def test_sweep_command(capsys):
     assert code == 0
     assert out.startswith("lam=0.5 a=0 b=0 mu=-4 ")
     assert out.rstrip().endswith(" count=1")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--resolution", "0"), "--resolution"),
+    (("--resolution", "-0.1"), "--resolution"),
+    (("--lambda-min", "2", "--lambda-max", "1"), "--lambda-min"),
+    (("--t-samples", "0"), "--t-samples"),
+], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples"])
+def test_sweep_rejects_bad_inputs(capsys, flags, message):
+    code, out, err = run(capsys, "sweep", "--space", "b7", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err and err.count("\n") == 1
+
+
+def test_sweep_polishes_negative_lambda(capsys):
+    code, out, _ = run(capsys, "sweep", "--space", "b7", "--format", "json",
+                       "--lambda-min", "-1.0", "--lambda-max", "-0.8")
+    assert code == 0
+    hit, = json.loads(out)["hits"]
+    want = (-2 / math.sqrt(5), 0.5, 0.0)
+    assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b"), want)) < 1e-6
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, g2cal.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):

@@ -19,14 +19,10 @@ from g2cal.scalars import (
     ParamPoly,
     LAM,
     A_UNK,
-    B_UNK,
     MU,
-    InexactDivision,
     alg,
     c_k,
     s_k,
-    trig_div_exact,
-    poly_div_exact,
 )
 
 fractions = hs.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -117,28 +113,13 @@ def test_trig_float_consistency(x, t):
     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_trig_division_exact_and_inexact():
-    num = s_k(1) * c_k(2) * 4
-    den = s_k(1)
-    assert trig_div_exact(num, den) == c_k(2) * 4
-    with pytest.raises(InexactDivision):
-        trig_div_exact(TRIG_ONE, s_k(1))
-
-
 def test_param_poly_bind_and_substitute():
     p = LAM * LAM * A_UNK + MU * ParamPoly.const(2)
     q = p.bind({"lam": alg(2), "a": alg(3)})
     assert q.degree_in("mu") == 1 and q.degree_in("lam") == 0
-    full = p.substitute({"lam": alg(2), "a": alg(3), "mu": alg(-1)})
-    assert full.const_value() == alg(10)
-
-
-def test_param_poly_division_roundtrip():
-    num = (LAM + A_UNK) * (LAM * LAM + B_UNK * ParamPoly.const(3))
-    den = LAM + A_UNK
-    assert poly_div_exact(num, den) == LAM * LAM + B_UNK * ParamPoly.const(3)
-    with pytest.raises(InexactDivision):
-        poly_div_exact(LAM * LAM + ParamPoly.const(1), LAM + ParamPoly.const(1))
+    # binding every unknown substitutes: a constant ParamPoly remains
+    full = p.bind({"lam": alg(2), "a": alg(3), "mu": alg(-1)})
+    assert full.const_value().const_value() == alg(10)
 
 
 def test_param_poly_t_derivative():
