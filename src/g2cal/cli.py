@@ -280,8 +280,13 @@ def build_parser():
     return p
 
 
-def resolve_config(args):
-    cfg = dict(_DEFAULTS)
+def resolve_config(args, parser):
+    """Defaults, then the config file's keys, then the flags.
+
+    The file's values are parsed as the flags they name, so they meet
+    the same types and choices; JSON null leaves a key unset.
+    """
+    layers = [args]
     if args.config:
         try:
             with open(args.config) as fh:
@@ -291,23 +296,30 @@ def resolve_config(args):
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise SystemExit("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        cfg.update(file_cfg)
-    for key in _DEFAULTS:
-        val = getattr(args, key.replace("-", "_"))
-        if val is not None:
-            cfg[key] = val
+        argv = [args.command] + [
+            "--%s=%s" % (key, val) for key, val in file_cfg.items() if val is not None
+        ]
+        parser.exit_on_error = False
+        try:
+            layers.insert(0, parser.parse_args(argv))
+        except argparse.ArgumentError as exc:
+            raise SystemExit("bad config value: %s" % exc)
+    cfg = dict(_DEFAULTS)
+    for layer in layers:
+        for key in _DEFAULTS:
+            val = getattr(layer, key.replace("-", "_"))
+            if val is not None:
+                cfg[key] = val
     return cfg
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, parser)
     except SystemExit as exc:
         sys.stderr.write("%s\n" % exc)
-        return 2
-    if cfg["space"] is not None and cfg["space"] not in SPACES:
-        sys.stderr.write("unknown space: %r\n" % cfg["space"])
         return 2
     if args.command == "verify":
         return _cmd_verify(cfg)

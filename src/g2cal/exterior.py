@@ -351,23 +351,20 @@ def hodge_star(x, of):
     """Combinatorial Hodge star in the declared orthonormal frame.
 
     On a frame monomial X_I returns sign * X_{I^c}, the sign being the
-    parity of the permutation (I, I^c) of (1..n).  Involution for n=7.
+    parity of the permutation (I, I^c) of (0..n-1).  Its inversions are
+    the pairs i in I, j in I^c with j < i; the i-th smallest index of I
+    has I[i] - i of them, so they number sum(I) - k(k-1)/2 for k = |I|.
+    Involution for n=7.
     """
     if x.gens != of.names:
         raise NotInFrameSpan("form is not expressed over the frame basis")
     n = of.dim
     out = {}
-    allidx = tuple(range(n))
     for idx, coeff in x.terms.items():
-        comp = tuple(i for i in allidx if i not in idx)
-        perm = idx + comp
-        # parity by counting inversions
-        inv = 0
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    inv += 1
-        out[comp] = -coeff if inv % 2 else coeff
+        comp = tuple(i for i in range(n) if i not in idx)
+        k = len(idx)
+        odd = (sum(idx) - k * (k - 1) // 2) % 2
+        out[comp] = -coeff if odd else coeff
     return Form(of.names, n - x.degree, out)
 
 

@@ -26,15 +26,14 @@ class So5Element:
 
     __slots__ = ("m",)
 
-    def __init__(self, rows, require_skew=True):
+    def __init__(self, rows):
         m = tuple(tuple(AlgebraicScalar.coerce(x) for x in row) for row in rows)
         if len(m) != 5 or any(len(r) != 5 for r in m):
             raise ValueError("expected a 5x5 matrix")
-        if require_skew:
-            for i in range(5):
-                for j in range(5):
-                    if m[i][j] != -m[j][i]:
-                        raise ValueError("matrix is not skew-symmetric")
+        for i in range(5):
+            for j in range(5):
+                if m[i][j] != -m[j][i]:
+                    raise ValueError("matrix is not skew-symmetric")
         object.__setattr__(self, "m", m)
 
     def __setattr__(self, name, value):
@@ -202,23 +201,24 @@ def rotation_curve():
 
 
 def rho_matrix():
-    """R(2*pi/3): order-3 element cycling the bases."""
+    """R(2*pi/3), the order-3 rotation cycling the bases, as rows.
+
+    It lies in SO(5), not in so(5), so it is no So5Element.
+    """
     c, s = _MINUS_HALF, _HALF_SQRT3
-    return So5Element(
-        [
-            [c, s, 0, 0, 0],
-            [-s, c, 0, 0, 0],
-            [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1],
-            [0, 0, 1, 0, 0],
-        ],
-        require_skew=False,
-    )
+    rows = [
+        [c, s, 0, 0, 0],
+        [-s, c, 0, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0],
+    ]
+    return [[AlgebraicScalar.coerce(x) for x in row] for row in rows]
 
 
 def ad_rho(x):
     """Adjoint action rho x rho^-1 of the order-3 frame element."""
-    rho = rho_matrix().m
+    rho = rho_matrix()
     rho_t = [[rho[j][i] for j in range(5)] for i in range(5)]  # rho^-1
     return So5Element(mat_mul(rho, mat_mul(x.m, rho_t)))
 
@@ -235,11 +235,8 @@ def rho_action_check():
     eps = epsilon_basis()
     gam = gamma_basis()
     rho = rho_matrix()
-    rho3 = So5Element(mat_mul(rho.m, mat_mul(rho.m, rho.m)), require_skew=False)
-    ident = So5Element(
-        [[1 if i == j else 0 for j in range(5)] for i in range(5)],
-        require_skew=False,
-    )
+    rho3 = mat_mul(rho, mat_mul(rho, rho))
+    ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     eps_images = [ad_rho(x) for x in eps]
     report = {
         "rho_cubed_is_identity": rho3 == ident,

@@ -220,28 +220,28 @@ def alg(q0, q1=0, q2=0, q3=0):
     return AlgebraicScalar(q0, q1, q2, q3)
 
 
-class TrigScalar:
-    """Finite sum over n >= 0 of cos(n t) and sin(n t) terms.
+def mode_order(k):
+    """Sort key of a TrigScalar mode key: by frequency, cosine first."""
+    return (abs(k), k < 0)
 
-    Canonical sparse form: no stored frequency has both coefficients
-    zero, and frequency 0 carries no sine part.  Canonical forms are
-    unique, so __eq__ decides equality of the represented functions.
+
+class TrigScalar:
+    """Finite Fourier series in t, one coefficient per mode.
+
+    terms maps k >= 0 to the coefficient of cos(k t) and -k < 0 to the
+    coefficient of sin(k t); no stored coefficient is zero.  Canonical
+    forms are unique, so __eq__ decides equality of the represented
+    functions.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         clean = {}
-        for n, (c, s) in terms.items():
-            if n < 0:
-                raise ValueError("negative frequency in TrigScalar")
+        for k, c in terms.items():
             c = AlgebraicScalar.coerce(c)
-            s = AlgebraicScalar.coerce(s)
-            if n == 0 and not s.is_zero():
-                raise ValueError("sin(0t) coefficient must be zero")
-            if c.is_zero() and s.is_zero():
-                continue
-            clean[n] = (c, s)
+            if not c.is_zero():
+                clean[k] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -257,19 +257,17 @@ class TrigScalar:
 
     @staticmethod
     def const(a):
-        return TrigScalar({0: (AlgebraicScalar.coerce(a), ALG_ZERO)})
+        return TrigScalar({0: a})
 
     @staticmethod
     def cos(n, coeff=1):
-        if n == 0:
-            return TrigScalar.const(coeff)
-        return TrigScalar({n: (AlgebraicScalar.coerce(coeff), ALG_ZERO)})
+        return TrigScalar({abs(n): coeff})
 
     @staticmethod
     def sin(n, coeff=1):
-        if n == 0:
-            return TrigScalar.const(0)
-        return TrigScalar({n: (ALG_ZERO, AlgebraicScalar.coerce(coeff))})
+        if n < 0:
+            return -TrigScalar.sin(-n, coeff)
+        return TrigScalar({-n: coeff} if n else {})
 
     def is_zero(self):
         return not self.terms
@@ -282,7 +280,7 @@ class TrigScalar:
             return ALG_ZERO
         if not self.is_const():
             raise ValueError("not constant: %s" % self)
-        return self.terms[0][0]
+        return self.terms[0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicScalar)):
@@ -297,15 +295,14 @@ class TrigScalar:
     def __add__(self, other):
         other = TrigScalar.coerce(other)
         out = dict(self.terms)
-        for n, (c, s) in other.terms.items():
-            oc, os = out.get(n, (ALG_ZERO, ALG_ZERO))
-            out[n] = (oc + c, os + s)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
         return TrigScalar(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigScalar({n: (-c, -s) for n, (c, s) in self.terms.items()})
+        return TrigScalar({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-TrigScalar.coerce(other))
@@ -317,70 +314,50 @@ class TrigScalar:
         other = TrigScalar.coerce(other)
         acc = {}
 
-        def put_cos(n, coeff):
-            if n < 0:
-                n = -n
-            c, s = acc.get(n, (ALG_ZERO, ALG_ZERO))
-            acc[n] = (c + coeff, s)
+        def put(k, c):
+            acc[k] = acc[k] + c if k in acc else c
 
-        def put_sin(n, coeff):
-            if n < 0:
-                n, coeff = -n, -coeff
-            if n == 0:
-                return
-            c, s = acc.get(n, (ALG_ZERO, ALG_ZERO))
-            acc[n] = (c, s + coeff)
-
-        for m, (a1, b1) in self.terms.items():
-            for n, (a2, b2) in other.terms.items():
-                cc = a1 * a2
-                if not cc.is_zero():
-                    put_cos(m - n, cc * _HALF)
-                    put_cos(m + n, cc * _HALF)
-                ss = b1 * b2
-                if not ss.is_zero():
-                    put_cos(m - n, ss * _HALF)
-                    put_cos(m + n, -(ss * _HALF))
-                cs = a1 * b2
-                if not cs.is_zero():
-                    put_sin(m + n, cs * _HALF)
-                    put_sin(n - m, cs * _HALF)
-                sc = b1 * a2
-                if not sc.is_zero():
-                    put_sin(m + n, sc * _HALF)
-                    put_sin(m - n, sc * _HALF)
+        # product to sum: with m = |j|, n = |k| and h = x*y/2,
+        #   cos m cos n = h cos(m-n) + h cos(m+n)
+        #   sin m sin n = h cos(m-n) - h cos(m+n)
+        #   sin m cos n = h sin(m+n) + h sin(m-n)
+        for j, x in self.terms.items():
+            m = abs(j)
+            for k, y in other.terms.items():
+                n = abs(k)
+                h = x * y * _HALF
+                if (j < 0) == (k < 0):
+                    put(abs(m - n), h)
+                    put(m + n, -h if j < 0 else h)
+                else:
+                    put(-(m + n), h)
+                    d = m - n if j < 0 else n - m   # sine minus cosine frequency
+                    if d:
+                        put(-abs(d), h if d > 0 else -h)
         return TrigScalar(acc)
 
     __rmul__ = __mul__
 
     def deriv(self):
         """d/dt of the represented function."""
-        out = {}
-        for n, (c, s) in self.terms.items():
-            if n == 0:
-                continue
-            out[n] = (s * n, -(c * n))
-        return TrigScalar(out)
+        return TrigScalar({-k: c * -k for k, c in self.terms.items() if k})
 
     def to_float(self, t):
-        total = 0.0
-        for n, (c, s) in self.terms.items():
-            total += c.to_float() * math.cos(n * t) + s.to_float() * math.sin(n * t)
-        return total
+        return sum(
+            c.to_float() * (math.cos(k * t) if k >= 0 else math.sin(-k * t))
+            for k, c in self.terms.items()
+        )
 
     def render(self):
         if not self.terms:
             return "0"
         parts = []
-        for n in sorted(self.terms):
-            c, s = self.terms[n]
-            if not c.is_zero():
-                if n == 0:
-                    parts.append("(%s)" % c.render())
-                else:
-                    parts.append("(%s)*cos(%st)" % (c.render(), "" if n == 1 else n))
-            if not s.is_zero():
-                parts.append("(%s)*sin(%st)" % (s.render(), "" if n == 1 else n))
+        for k in sorted(self.terms, key=mode_order):
+            part = "(%s)" % self.terms[k].render()
+            if k:
+                fn = "cos" if k > 0 else "sin"
+                part += "*%s(%st)" % (fn, "" if abs(k) == 1 else abs(k))
+            parts.append(part)
         return " + ".join(parts)
 
     def __repr__(self):
@@ -404,12 +381,12 @@ _SIN_THETA = {
 
 def c_k(k):
     """cos(t + 2*pi*(k-1)/3) expanded over cos t, sin t."""
-    return TrigScalar({1: (_COS_THETA[k], -_SIN_THETA[k])})
+    return TrigScalar({1: _COS_THETA[k], -1: -_SIN_THETA[k]})
 
 
 def s_k(k):
     """sin(t + 2*pi*(k-1)/3) expanded over cos t, sin t."""
-    return TrigScalar({1: (_SIN_THETA[k], _COS_THETA[k])})
+    return TrigScalar({1: _SIN_THETA[k], -1: _COS_THETA[k]})
 
 
 # ---------------------------------------------------------------------------

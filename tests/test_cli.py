@@ -199,7 +199,25 @@ def test_config_file_and_flag_override(capsys, tmp_path):
 
 def test_bad_config_keys(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(capsys, "verify", str(cfg), "--space", "connection")
-    assert code == 2
-    assert "bogus" in err
+    for command, body, key in (
+        ("verify", {"bogus": 1}, "bogus"),
+        ("sweep", {"resolution": "x"}, "resolution"),
+        ("sweep", {"t-samples": 2.5}, "t-samples"),
+        ("verify", {"format": "yaml"}, "format"),
+    ):
+        cfg.write_text(json.dumps(body))
+        code, out, err = run(capsys, command, str(cfg), "--space", "s7-squashed")
+        assert code == 2, body
+        assert out == ""
+        assert key in err and err.count("\n") == 1
+
+
+def test_constraints_match_golden(capsys):
+    # _check_claim solves mu from the first constraint linear in mu, so
+    # the order of the constraints is part of what is pinned here
+    golden = json.loads((Path(__file__).parent / "golden" / "constraints.json").read_text())
+    assert sorted(golden) == ["b7", "s7-canonical", "s7-squashed"]
+    for space, want in golden.items():
+        code, out, _ = run(capsys, "constraints", "--space", space, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == want

@@ -140,6 +140,14 @@ def test_hodge_star_volume_and_units():
     vol = Form.monomial(of.names, of.names, 1)
     assert hodge_star(one, of) == vol
     assert hodge_star(vol, of) == one
+    # X_I ^ *X_I == vol on every one of the 2^7 frame monomials
+    count = 0
+    for degree in range(8):
+        for mono in itertools.combinations(of.names, degree):
+            x = Form.monomial(of.names, mono, 1)
+            assert x.wedge(hodge_star(x, of)) == vol
+            count += 1
+    assert count == 128
 
 
 def test_singular_frame_rejected():

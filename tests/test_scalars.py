@@ -76,15 +76,21 @@ def test_phase_pair_identity():
         assert c_k(j) * c_k(k) + s_k(j) * s_k(k) == minus_half
 
 
-trigs = hs.lists(
+# rows (n, c, s) stand for the sum of c cos(n t) + s sin(n t)
+trig_rows = hs.lists(
     hs.tuples(hs.integers(min_value=0, max_value=4), fractions, fractions),
     max_size=4,
-).map(
-    lambda rows: sum(
+)
+
+
+def _trig(rows):
+    return sum(
         (TrigScalar.cos(n, c) + TrigScalar.sin(n, s) for n, c, s in rows),
         TRIG_ZERO,
     )
-)
+
+
+trigs = trig_rows.map(_trig)
 
 
 @given(trigs, trigs, trigs)
@@ -102,15 +108,24 @@ def test_trig_leibniz(x, y):
     assert (x * y).deriv() == x.deriv() * y + x * y.deriv()
 
 
-@given(trigs, hs.floats(min_value=0.0, max_value=2.0))
+@given(trig_rows, trig_rows, hs.floats(min_value=0.0, max_value=2.0))
 @settings(derandomize=True, max_examples=60)
-def test_trig_float_consistency(x, t):
-    got = x.to_float(t)
-    want = sum(
-        c.to_float() * math.cos(n * t) + s.to_float() * math.sin(n * t)
-        for n, (c, s) in x.terms.items()
-    )
-    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+def test_trig_float_consistency(x_rows, y_rows, t):
+    def value(rows):
+        return sum(float(c) * math.cos(n * t) + float(s) * math.sin(n * t)
+                   for n, c, s in rows)
+
+    def slope(rows):
+        return sum(n * (float(s) * math.cos(n * t) - float(c) * math.sin(n * t))
+                   for n, c, s in rows)
+
+    x, y = _trig(x_rows), _trig(y_rows)
+    for got, want in (
+        (x.to_float(t), value(x_rows)),
+        ((x * y).to_float(t), value(x_rows) * value(y_rows)),
+        (x.deriv().to_float(t), slope(x_rows)),
+    ):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_param_poly_bind_and_substitute():
