@@ -151,8 +151,11 @@ def _emit(payload, fmt, output, text_lines=None):
     else:
         body = "\n".join(text_lines) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(body)
+        try:
+            with open(output, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise SystemExit("cannot write --output: %s" % exc)
     else:
         sys.stdout.write(body)
 
@@ -214,9 +217,10 @@ def _cmd_sweep(cfg):
         if not cfg[name + "-min"] <= cfg[name + "-max"]:
             sys.stderr.write("empty box: --%s-min exceeds --%s-max\n" % (name, name))
             return 2
-    if not cfg["resolution"] > 0:
-        sys.stderr.write("--resolution must be positive\n")
-        return 2
+    for name in ("resolution", "tolerance"):
+        if not cfg[name] > 0:
+            sys.stderr.write("--%s must be positive\n" % name)
+            return 2
     if cfg["t-samples"] < 1:
         sys.stderr.write("--t-samples must be at least 1\n")
         return 2
@@ -316,20 +320,19 @@ def resolve_config(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a bad config or an unwritable --output is a usage error
     try:
         cfg = resolve_config(args, parser)
+        if args.command == "verify":
+            return _cmd_verify(cfg)
+        if args.command == "report-all":
+            return _cmd_report_all(cfg)
+        if args.command == "constraints":
+            return _cmd_constraints(cfg)
+        return _cmd_sweep(cfg)
     except SystemExit as exc:
         sys.stderr.write("%s\n" % exc)
         return 2
-    if args.command == "verify":
-        return _cmd_verify(cfg)
-    if args.command == "report-all":
-        return _cmd_report_all(cfg)
-    if args.command == "constraints":
-        return _cmd_constraints(cfg)
-    if args.command == "sweep":
-        return _cmd_sweep(cfg)
-    return 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Reimplements the two ansatz families and their hypersurface residuals
 directly over float/complex coefficients (no exact-engine code paths),
 for cross-checking exact results and for the numeric parameter sweep.
-Coefficients may be numpy arrays, so a whole (lam, a, b) grid, or a
-batch of points, is evaluated at once per time sample.
+Coefficients may be numpy arrays, so a whole (lam, a, b) grid is
+evaluated at once per time sample, and a small batch of points at once
+for all its time samples.
 """
 
 from __future__ import annotations
@@ -155,9 +156,11 @@ def _im(f):
 
 
 def _system_parts(which, systems, lam, a, b, t):
-    """[(r0, r1)] per system at one t sample, sharing one frame.
+    """[(r0, r1)] per system at t, sharing one frame.
 
-    Builds Z_k, xi and Xi once; d/dt Re Xi only when "flow" is asked for.
+    t is one sample, or an array of samples on a leading axis in front of
+    the batch axes of (lam, a, b).  Builds Z_k, xi and Xi once; d/dt Re Xi
+    only when "flow" is asked for.
     """
     zs, dzs = frame_z(which, lam, a, b, t)
     z1, z2, z3 = zs
@@ -194,14 +197,51 @@ def _systems(system):
     return ("nhf", "flow") if system == "both" else (system,)
 
 
+# At most this many point-samples are evaluated in one pass.  A small
+# batch (a polish stencil, a point) stacks its t samples on a leading axis
+# and pays the per-monomial Python and numpy overhead once; a grid mesh
+# keeps one sample per pass, where its arrays stay in cache.
+_PASS_SIZE = 1 << 14
+
+
+def _passes(which, systems, lam, a, b, t_samples):
+    """Yield (parts, stack) per pass over the t samples.
+
+    parts are the (r0, r1) of each system.  A pass of several samples puts
+    t on a leading axis, and stack is the shape (samples, *batch) its
+    coefficients broadcast to; a one-sample pass has no such axis and
+    stack None, so it reduces nothing.
+    """
+    shape = np.broadcast_shapes(np.shape(lam), np.shape(a), np.shape(b))
+    per_pass = max(1, _PASS_SIZE // max(1, math.prod(shape)))
+    t_samples = list(t_samples)
+    for i in range(0, len(t_samples), per_pass):
+        ts = t_samples[i : i + per_pass]
+        if len(ts) == 1:
+            yield _system_parts(which, systems, lam, a, b, ts[0]), None
+        else:
+            t = np.reshape(ts, (len(ts),) + (1,) * len(shape))
+            yield _system_parts(which, systems, lam, a, b, t), (len(ts),) + shape
+
+
+def _fold(x, stack, reduce):
+    """x itself for a one-sample pass, else x reduced over the sample axis."""
+    return x if stack is None else reduce(np.broadcast_to(x, stack), axis=0)
+
+
+def _abs_max(parts, mu):
+    worst = 0.0
+    for r0, r1 in parts:
+        for m in set(r0) | set(r1):
+            worst = np.maximum(worst, np.abs(r0.get(m, 0.0) - mu * r1.get(m, 0.0)))
+    return worst
+
+
 def residual_max(which, system, lam, a, b, mu, t_samples):
     """Max |residual coefficient| over systems, monomials and samples."""
     worst = 0.0
-    systems = _systems(system)
-    for t in t_samples:
-        for r0, r1 in _system_parts(which, systems, lam, a, b, t):
-            for m, c in add(r0, scale(r1, -mu)).items():
-                worst = np.maximum(worst, np.abs(c))
+    for parts, stack in _passes(which, _systems(system), lam, a, b, t_samples):
+        worst = np.maximum(worst, _fold(_abs_max(parts, mu), stack, np.max))
     return worst
 
 
@@ -209,22 +249,26 @@ def best_mu_residual(which, system, lam, a, b, t_samples):
     """Least-squares mu over all samples, and the residual max with it."""
     num = 0.0
     den = 0.0
-    parts = []
-    systems = _systems(system)
-    for t in t_samples:
-        for r0, r1 in _system_parts(which, systems, lam, a, b, t):
-            parts.append((r0, r1))
+    passes = list(_passes(which, _systems(system), lam, a, b, t_samples))
+    for parts, stack in passes:
+        # a one-sample pass adds straight into the running sums; a stacked
+        # pass sums its own terms, then folds them over its samples
+        n, d = (num, den) if stack is None else (0.0, 0.0)
+        for r0, r1 in parts:
             for m in set(r0) | set(r1):
                 c0 = r0.get(m, 0.0)
                 c1 = r1.get(m, 0.0)
-                num = num + c0 * c1
-                den = den + c1 * c1
+                n = n + c0 * c1
+                d = d + c1 * c1
+        if stack is None:
+            num, den = n, d
+        else:
+            num = num + _fold(n, stack, np.sum)
+            den = den + _fold(d, stack, np.sum)
     mu = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
     worst = 0.0
-    for r0, r1 in parts:
-        for m in set(r0) | set(r1):
-            c = r0.get(m, 0.0) - mu * r1.get(m, 0.0)
-            worst = np.maximum(worst, np.abs(c))
+    for parts, stack in passes:
+        worst = np.maximum(worst, _fold(_abs_max(parts, mu), stack, np.max))
     return mu, worst
 
 
@@ -239,14 +283,20 @@ def _grid(lo, hi, res):
     return np.linspace(lo, hi, n + 1)
 
 
+# Slices and polish steps with |lam| at or below this are skipped: there
+# every residual collapses for scaling reasons alone, so the whole slice
+# would read as hits.
+_LAM_FLOOR = 1e-3
+
+
 def _refine(which, system, point, t_samples, tolerance, bounds):
     """Gauss-Newton polish of a candidate zero; returns (point, mu, res).
 
     Steps are confined to `bounds` (the sweep box) so the polish cannot
-    drift toward the degenerate lam -> 0 region, where every residual
-    collapses for scaling reasons alone.  Each step costs two batched
-    evaluations: the point with its six central-difference neighbours,
-    then every in-box candidate of the halving line search at once.
+    drift toward the degenerate lam -> 0 region (|lam| <= _LAM_FLOOR).
+    Each step costs two batched evaluations: the point with its six
+    central-difference neighbours, then every in-box candidate of the
+    halving line search at once.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
@@ -276,7 +326,7 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
         # backtracking line search on the residual itself: the first
         # in-box halving that improves is taken
         cands = x - halvings[:, None] * step
-        inside = (np.abs(cands[:, 0]) > 1e-3) & np.all((cands >= lo) & (cands <= hi), axis=1)
+        inside = (np.abs(cands[:, 0]) > _LAM_FLOOR) & np.all((cands >= lo) & (cands <= hi), axis=1)
         cands = cands[inside]
         if not len(cands):
             break
@@ -310,6 +360,7 @@ def numeric_sweep(
     so isolated zeros lying between grid points are still recovered
     within a cell.  Polished zeros closer than one cell are one hit: the
     lowest-residual point, with count the number of polishes that met it.
+    Lambda slices with |lam| <= _LAM_FLOOR are skipped.
     """
     if t_samples is None:
         t_samples = default_t_samples()
@@ -322,7 +373,7 @@ def numeric_sweep(
     b_mesh = bvals[None, :]
     hits = []
     minima = []
-    for lam in lams:
+    for lam in lams[np.abs(lams) > _LAM_FLOOR]:
         mu, res = best_mu_residual(which, system, float(lam), a_mesh, b_mesh, t_samples)
         mu = np.broadcast_to(mu, res.shape)
         for i, j in zip(*np.nonzero(res < tolerance)):

@@ -109,6 +109,16 @@ def test_output_file(capsys, tmp_path):
     assert reports[0]["status"] == "holds"
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "out.json"
+    code, out, err = run(capsys, "verify", "--space", "lemma-1-1",
+                         "--format", "json", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert "--output" in err and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_constraints_command(capsys):
     code, out, _ = run(capsys, "constraints", "--space", "s7-squashed",
                        "--format", "json")
@@ -153,7 +163,11 @@ def test_sweep_command(capsys):
     (("--resolution", "-0.1"), "--resolution"),
     (("--lambda-min", "2", "--lambda-max", "1"), "--lambda-min"),
     (("--t-samples", "0"), "--t-samples"),
-], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples"])
+    (("--tolerance", "0"), "--tolerance"),
+    (("--tolerance", "-0.001"), "--tolerance"),
+    (("--tolerance", "nan"), "--tolerance"),
+], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples",
+        "tolerance-zero", "tolerance-negative", "tolerance-nan"])
 def test_sweep_rejects_bad_inputs(capsys, flags, message):
     code, out, err = run(capsys, "sweep", "--space", "b7", *flags)
     assert code == 2
@@ -168,6 +182,20 @@ def test_sweep_polishes_negative_lambda(capsys):
     hit, = json.loads(out)["hits"]
     want = (-2 / math.sqrt(5), 0.5, 0.0)
     assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b"), want)) < 1e-6
+
+
+def test_sweep_s7_default_box_matches_golden(capsys):
+    golden = json.loads((Path(__file__).parent / "golden" / "sweep-s7-squashed.json").read_text())
+    code, out, _ = run(capsys, "sweep", "--space", "s7-squashed", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    got, want = payload.pop("hits"), golden.pop("hits")
+    assert payload == golden
+    # the residuals are ulp noise around 1e-16 and are not pinned
+    assert [{k: h[k] for k in ("lam", "a", "b", "count")} for h in got] == [
+        {k: h[k] for k in ("lam", "a", "b", "count")} for h in want
+    ]
+    assert max(abs(g["mu"] - w["mu"]) for g, w in zip(got, want)) <= 1e-9
 
 
 def test_import_does_not_load_numpy():

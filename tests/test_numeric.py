@@ -127,6 +127,27 @@ def test_sweep_refines_isolated_joint_zero():
     assert abs(best["mu"] - MU_CANON.to_float()) < 1e-4
 
 
+def test_sweep_skips_degenerate_lambda_zero():
+    # at lam = 0 every residual vanishes for scaling reasons alone; that
+    # slice must neither be reported nor stop the polish, which finds both
+    # joint zeros (+-2/sqrt5, 1/2, 0) with mu = -3 lam
+    hits = numeric.numeric_sweep(
+        "b7",
+        "both",
+        lambda_range=(-1.0, 1.0),
+        a_range=(0.0, 1.0),
+        b_range=(-0.5, 0.5),
+        resolution=0.25,
+    )
+    lam = LAMBDA_CANON.to_float()
+    assert len(hits) == 2
+    for sign, hit in zip((-1, 1), sorted(hits, key=lambda h: h["lam"])):
+        assert abs(hit["lam"] - sign * lam) < 1e-6
+        assert abs(hit["a"] - 0.5) < 1e-6
+        assert abs(hit["b"]) < 1e-6
+        assert abs(hit["mu"] - sign * MU_CANON.to_float()) < 1e-6
+
+
 def test_sweep_empty_region():
     # a region with no zeros and refinement off yields no hits
     hits = numeric.numeric_sweep(
@@ -169,17 +190,24 @@ def _reference_max(parts, mu):
     return worst
 
 
+_BATCH = np.random.default_rng(11).uniform(-1.5, 1.5, (3, 40))
+
+
 @pytest.mark.parametrize("which", ["s7", "b7"])
 @pytest.mark.parametrize(
     "lam, a, b",
     [
         (0.9, 0.4, -0.3),
         (1.3, np.array([[-1.0], [0.2], [1.5]]), np.array([[-0.7, 0.0, 0.3, 1.1]])),
+        tuple(_BATCH[:, :7]),
+        tuple(_BATCH),
     ],
-    ids=["point", "mesh"],
+    ids=["point", "mesh", "batch7", "batch40"],
 )
 def test_shared_frame_matches_residual_parts(which, lam, a, b):
-    samples = numeric.default_t_samples(5)
+    # every case stacks its samples in one pass; the reference takes one
+    # residual_parts call per sample and system
+    samples = numeric.default_t_samples()
     mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
     ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
     np.testing.assert_allclose(mu, ref_mu, rtol=0, atol=1e-12)
@@ -187,6 +215,18 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
     worst = numeric.residual_max(which, "both", lam, a, b, -1.7, samples)
     ref_worst = _reference_max(_parts_by_system(which, lam, a, b, samples), -1.7)
     np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
+
+
+def test_grid_mesh_keeps_per_sample_sums():
+    # a 121 x 81 mesh is too large to stack its samples: it takes one per
+    # pass and sums in the reference's order, bit for bit
+    a = np.linspace(-3.0, 3.0, 121)[:, None]
+    b = np.linspace(-2.0, 2.0, 81)[None, :]
+    samples = numeric.default_t_samples()
+    mu, res = numeric.best_mu_residual("s7", "both", 0.7, a, b, samples)
+    ref_mu, ref_res = _reference_best_mu("s7", 0.7, a, b, samples)
+    np.testing.assert_array_equal(mu, ref_mu)
+    np.testing.assert_array_equal(res, ref_res)
 
 
 @pytest.mark.parametrize("which", ["s7", "b7"])
