@@ -1,8 +1,9 @@
 """Graded exterior algebra over a named coframe.
 
 Forms are sparse sums of wedge monomials with ParamPoly coefficients.
-A CoframeSpec supplies the structure equations that drive the exterior
-derivative; the transverse coordinate t enters through coefficient
+A CoframeSpec supplies the structure equations that drive the orbit
+derivative `orbit_d`; the exterior derivative is d = orbit_d + dt ^ d/dt,
+the transverse coordinate t entering only through coefficient
 derivatives paired with the dt generator.  The Hodge star is taken
 combinatorially in a declared orthonormal frame.
 """
@@ -46,6 +47,15 @@ def _merge_sorted(idx, extra):
             sign = -sign
         merged.insert(pos, k)
     return tuple(merged), sign
+
+
+def _add_term(terms, idx, coeff):
+    """terms[idx] += coeff, dropping the entry when it cancels."""
+    cur = terms.get(idx, POLY_ZERO) + coeff
+    if cur.is_zero():
+        terms.pop(idx, None)
+    else:
+        terms[idx] = cur
 
 
 class Form:
@@ -141,11 +151,7 @@ class Form:
             raise DegreeError("adding degree %d to %d" % (self.degree, other.degree))
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
-            cur = out.get(idx, POLY_ZERO) + coeff
-            if cur.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = cur
+            _add_term(out, idx, coeff)
         return Form(self.gens, self.degree, out)
 
     def __neg__(self):
@@ -175,13 +181,7 @@ class Form:
                 if merged is None:
                     continue
                 coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                cur = out.get(merged, POLY_ZERO) + coeff
-                if cur.is_zero():
-                    out.pop(merged, None)
-                else:
-                    out[merged] = cur
+                _add_term(out, merged, coeff if sign > 0 else -coeff)
         return Form(self.gens, deg, out)
 
     # -- helpers -----------------------------------------------------------
@@ -219,13 +219,13 @@ class CoframeSpec:
     """Named 1-form generators plus structure equations for d.
 
     `structure` maps generator name -> degree-2 Form giving its
-    exterior derivative.  d(dt) = 0 is implied for `t_name`.  Unless
-    check=False, d(d(g)) = 0 is verified for every generator.
+    exterior derivative.  d(dt) = 0 is implied for `t_name`.  Whether
+    d(d(g)) = 0 holds is left to `d_squared_check`.
     """
 
     __slots__ = ("gens", "t_name", "structure")
 
-    def __init__(self, gens, t_name, structure, check=True):
+    def __init__(self, gens, t_name, structure):
         gens = tuple(gens)
         if t_name not in gens:
             raise ValueError("t generator %r not among generators" % t_name)
@@ -244,14 +244,9 @@ class CoframeSpec:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "t_name", t_name)
         object.__setattr__(self, "structure", full)
-        if check and not d_squared_check(self):
-            raise ValueError("structure equations violate d*d = 0")
 
     def __setattr__(self, name, value):
         raise AttributeError("CoframeSpec is immutable")
-
-    def t_index(self):
-        return self.gens.index(self.t_name)
 
     def zero(self, degree=0):
         return Form.zero(self.gens, degree)
@@ -263,30 +258,39 @@ class CoframeSpec:
         return Form.monomial(self.gens, names, coeff)
 
 
-def ext_d(x, cf):
-    """Exterior derivative driven by structure equations.
+def orbit_d(x, cf):
+    """Exterior derivative along the orbits, coefficients held fixed.
 
-    Coefficient t-dependence contributes f'(t) dt ^ monomial; the
-    generators differentiate through cf.structure by the Leibniz rule.
+    The Leibniz rule over the structure table:
+    d(X_I) = sum_m (-1)^m d(X_{I_m}) ^ X_{I without I_m}, each d(X_g)
+    being a 2-form that moves to the front with no sign of its own.
     """
     if x.gens != cf.gens:
         raise UnknownGenerator("form is over %r, coframe over %r" % (x.gens, cf.gens))
-    t_idx = cf.t_index()
-    acc = Form.zero(cf.gens, min(x.degree + 1, len(cf.gens)))
-    dt = Form(cf.gens, 1, {(t_idx,): 1})
-    struct = [cf.structure[g] for g in cf.gens]
+    struct = [cf.structure[g].terms for g in cf.gens]
+    out = {}
     for idx, coeff in x.terms.items():
-        dcoeff = coeff.deriv_t()
-        if not dcoeff.is_zero():
-            acc = acc + dt.wedge(Form(cf.gens, x.degree, {idx: 1})).scale(dcoeff)
         for m, gi in enumerate(idx):
-            dg = struct[gi]
-            if dg.is_zero():
-                continue
-            before = Form(cf.gens, m, {idx[:m]: coeff if m % 2 == 0 else -coeff})
-            after = Form(cf.gens, len(idx) - m - 1, {idx[m + 1:]: 1})
-            acc = acc + before.wedge(dg).wedge(after)
-    return acc
+            rest = idx[:m] + idx[m + 1:]
+            for pair, c in struct[gi].items():
+                merged, sign = _merge_sorted(rest, pair)
+                if merged is not None:
+                    term = coeff * c
+                    _add_term(out, merged, term if sign == (-1) ** m else -term)
+    return Form(cf.gens, min(x.degree + 1, len(cf.gens)), out)
+
+
+def ext_d(x, cf):
+    """d = orbit_d + dt ^ d/dt: each coefficient's t-derivative pairs with dt."""
+    dx = orbit_d(x, cf)
+    out = dict(dx.terms)
+    dt = (cf.gens.index(cf.t_name),)
+    for idx, coeff in x.terms.items():
+        merged, sign = _merge_sorted(dt, idx)
+        if merged is not None:
+            dc = coeff.deriv_t()
+            _add_term(out, merged, dc if sign > 0 else -dc)
+    return Form(cf.gens, dx.degree, out)
 
 
 def d_squared_check(cf):

@@ -238,7 +238,7 @@ def rho_action_check():
     rho3 = mat_mul(rho, mat_mul(rho, rho))
     ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     eps_images = [ad_rho(x) for x in eps]
-    report = {
+    return {
         "rho_cubed_is_identity": rho3 == ident,
         "epsilon_cycled_up_to_sign": (
             eps_images[0] == eps[2]
@@ -252,18 +252,16 @@ def rho_action_check():
         ),
         "gamma7_fixed": ad_rho(gam[6]) == gam[6],
     }
-    report["all"] = all(report.values())
-    return report
 
 
 B7_GENS = ("p1", "p2", "p3", "n1", "n2", "n3", "dt")
 
 
-def maurer_cartan_matrix(gens=B7_GENS):
+def maurer_cartan_matrix():
     """The so(4) Maurer-Cartan matrix as a 5x5 array of one-forms."""
-    p = [Form.generator(gens, "p%d" % k, 2) for k in (1, 2, 3)]
-    n = [Form.generator(gens, "n%d" % k, 2) for k in (1, 2, 3)]
-    z = Form.zero(gens, 1)
+    p = [Form.generator(B7_GENS, "p%d" % k, 2) for k in (1, 2, 3)]
+    n = [Form.generator(B7_GENS, "n%d" % k, 2) for k in (1, 2, 3)]
+    z = Form.zero(B7_GENS, 1)
     return [
         [z, z, z, z, z],
         [z, z, n[2], n[1], n[0]],
@@ -273,7 +271,7 @@ def maurer_cartan_matrix(gens=B7_GENS):
     ]
 
 
-def pullback_frame(mc=None, gens=B7_GENS):
+def pullback_frame():
     """Pull the Maurer-Cartan form back along the geodesic frame.
 
     Returns the seven 1-forms Y_i (pullbacks of 2 g*_i) over the
@@ -282,12 +280,10 @@ def pullback_frame(mc=None, gens=B7_GENS):
     normalization under which Y_7 = 2 dt and the 2x2 block pattern
     (Y_1, Y_2) = [[2L, L cos t], [0, 2 sin t]] (p_1, n_1) holds.
     """
-    if mc is None:
-        mc = maurer_cartan_matrix(gens)
     half = Fraction(1, 2)
-    mc = [[f.scale(half) for f in row] for row in mc]
+    mc = [[f.scale(half) for f in row] for row in maurer_cartan_matrix()]
     r = rotation_curve_entries()
-    z = Form.zero(gens, 1)
+    z = Form.zero(B7_GENS, 1)
     # r^T * mc
     tmp = [
         [
@@ -304,7 +300,7 @@ def pullback_frame(mc=None, gens=B7_GENS):
         ]
         for i in range(5)
     ]
-    dt = Form.generator(gens, "dt")
+    dt = Form.generator(B7_GENS, "dt")
     pulled[0][1] = pulled[0][1] + dt
     pulled[1][0] = pulled[1][0] - dt
     out = []

@@ -350,16 +350,16 @@ def numeric_sweep(
     resolution=0.05,
     tolerance=1e-6,
     t_samples=None,
-    refine=True,
 ):
     """Grid search for residual zeros, chunked over lambda.
 
     Returns a list of dicts {lam, a, b, mu, residual, count}: every grid
-    point whose fitted residual is below tolerance (count 1), plus (when
-    refine is set) polished local minima that converge below tolerance,
-    so isolated zeros lying between grid points are still recovered
-    within a cell.  Polished zeros closer than one cell are one hit: the
-    lowest-residual point, with count the number of polishes that met it.
+    point whose fitted residual is below tolerance (count 1).  When no
+    grid point hits, the per-slice minima are polished instead and those
+    that converge below tolerance are kept, so isolated zeros lying
+    between grid points are still recovered within a cell.  Polished
+    zeros closer than one cell are one hit: the lowest-residual point,
+    with count the number of polishes that met it.
     Lambda slices with |lam| <= _LAM_FLOOR are skipped.
     """
     if t_samples is None:
@@ -387,11 +387,10 @@ def numeric_sweep(
                     "count": 1,
                 }
             )
-        if refine:
-            k = int(np.argmin(res))
-            i, j = np.unravel_index(k, res.shape)
-            minima.append((float(res[i, j]), float(lam), float(avals[i]), float(bvals[j])))
-    if refine and not hits and minima:
+        k = int(np.argmin(res))
+        i, j = np.unravel_index(k, res.shape)
+        minima.append((float(res[i, j]), float(lam), float(avals[i]), float(bvals[j])))
+    if not hits and minima:
         minima.sort()
         best = minima[0][0]
         bounds = (lambda_range, a_range, b_range)

@@ -70,7 +70,7 @@ def test_criterion_05_so5_checks():
         for i, x in enumerate(basis)
         for j, y in enumerate(basis)
     )
-    ok = ok and rho_action_check()["all"]
+    ok = ok and all(rho_action_check().values())
     want = {
         (0, 1, 6): alg(1), (0, 2, 4): alg(1), (0, 3, 5): alg(-1),
         (1, 2, 5): alg(-1), (1, 3, 4): alg(-1), (2, 3, 6): alg(1),
@@ -126,8 +126,7 @@ def test_criterion_08_round_family_solutions():
     )
     rep, _ = st.verify_solution_set(fam, "nhf", st.prop_5_1_claims(), "round-family")
     ok = ok and rep.status == "holds"
-    hits = numeric.numeric_sweep("s7", "nhf", resolution=0.05,
-                                 tolerance=1e-6, refine=False)
+    hits = numeric.numeric_sweep("s7", "nhf", resolution=0.05, tolerance=1e-6)
     on_variety = all(
         (abs(h["a"]) < 1e-9 and min(abs(h["b"]), abs(h["b"] + 1)) < 1e-9)
         or (abs(h["b"] - 1) < 1e-9 and abs(abs(h["a"]) - 2) < 1e-9)

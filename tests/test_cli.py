@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from g2cal import cli
+from g2cal import cli, exterior
+from g2cal import structures as st
 from g2cal.cli import main, SPACES
+from g2cal.exterior import CoframeSpec
+from g2cal.scalars import alg, ALG_ZERO
 from g2cal.structures import NotProportional
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "report-all.json"
@@ -97,6 +101,50 @@ def test_runner_error_becomes_fails_report(capsys, monkeypatch):
     code, out, _ = run(capsys, "report-all", "--format", "json")
     assert code == 1
     assert [r["status"] for r in json.loads(out)] == ["holds", "fails"]
+
+
+def test_rejected_claim_becomes_fails_report(capsys, monkeypatch):
+    wrong = [{"lam": alg(1), "a": alg(Fraction(1, 2)), "b": ALG_ZERO}]
+    monkeypatch.setattr(st, "joint_system_claims", lambda: wrong)
+    code, out, _ = run(capsys, "verify", "--space", "b7", "--format", "json")
+    assert code == 1
+    reps = {r["identity"]: r for r in json.loads(out)}
+    assert reps["joint-system-triples"]["status"] == "fails"
+    assert reps["joint-system-triples"]["residual"].startswith("constraint survives: ")
+    assert reps["invariant-family-locus"]["status"] == "holds"
+
+
+def test_coframe_with_nonzero_d_squared_becomes_fails_report(capsys, monkeypatch):
+    s7_coframe = st.s7_coframe
+
+    def broken():
+        cf = s7_coframe()
+        de1 = cf.structure["e1"] + cf.mono(("e1", "f1"))
+        return CoframeSpec(cf.gens, cf.t_name, dict(cf.structure, e1=de1))
+
+    monkeypatch.setattr(st, "s7_coframe", broken)
+    code, out, _ = run(capsys, "verify", "--space", "s7-squashed", "--format", "json")
+    assert code == 1
+    rep, = json.loads(out)
+    assert rep["identity"] == "s7-coframe-d-squared"
+    assert rep["status"] == "fails"
+    assert rep["residual"] == "d^2 != 0"
+
+
+def test_report_all_checks_d_squared_once_per_coframe(capsys, monkeypatch):
+    calls = []
+    check = exterior.d_squared_check
+
+    def counting(cf):
+        calls.append(cf.gens)
+        return check(cf)
+
+    monkeypatch.setattr(exterior, "d_squared_check", counting)
+    monkeypatch.setattr(cli, "d_squared_check", counting)
+    code, _, _ = run(capsys, "report-all", "--format", "json")
+    assert code == 0
+    # the s7-coframe-d-squared and b7-coframe-d-squared reports only
+    assert calls == [st.S7_GENS, st.B7_GENS]
 
 
 def test_output_file(capsys, tmp_path):

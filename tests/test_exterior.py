@@ -13,6 +13,7 @@ from g2cal.exterior import (
     CoframeSpec,
     OrthoFrame,
     ext_d,
+    orbit_d,
     d_squared_check,
     hodge_star,
     wedge_all,
@@ -108,9 +109,18 @@ def test_d_catches_inconsistent_structure():
         "g2": Form.monomial(gens, ("g3", "g1"), -2),
         "g3": Form.monomial(gens, ("g1", "g2"), -2),
     }
-    with pytest.raises(ValueError):
-        CoframeSpec(gens, "t", st)
-    assert not d_squared_check(CoframeSpec(gens, "t", st, check=False))
+    # the constructor takes it; d_squared_check is where it is caught
+    assert not d_squared_check(CoframeSpec(gens, "t", st))
+
+
+def test_d_is_orbit_d_plus_dt_wedge_t_derivative():
+    cf = _cyclic_coframe()
+    x = (cf.mono(("g1", "g2"), s_k(1)) + cf.mono(("g2", "g3"), c_k(2) * 3)
+         + cf.mono(("g1", "t"), s_k(3)))
+    for f in (x, cf.gen("g1", c_k(1)) + cf.gen("g3", 5)):
+        ddt = f.map_coefficients(lambda c: c.deriv_t())
+        assert not ddt.is_zero()
+        assert ext_d(f, cf) == orbit_d(f, cf) + cf.gen("t").wedge(ddt)
 
 
 def _plain_frame(n=7):

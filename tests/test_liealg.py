@@ -124,7 +124,7 @@ def test_rotation_curve_orthogonal():
 
 def test_rho_action():
     checks = rho_action_check()
-    assert checks["all"], checks
+    assert all(checks.values()), checks
     # the gamma pairs cycle exactly under the adjoint action
     gam = gamma_basis()
     assert ad_rho(gam[0]) == gam[2]

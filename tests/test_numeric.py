@@ -98,7 +98,6 @@ def test_sweep_recovers_round_family_lines():
         a_range=(0.0, 0.0),
         b_range=(-1.5, 0.5),
         resolution=0.1,
-        refine=False,
     )
     assert hits
     for h in hits:
@@ -149,7 +148,7 @@ def test_sweep_skips_degenerate_lambda_zero():
 
 
 def test_sweep_empty_region():
-    # a region with no zeros and refinement off yields no hits
+    # a region with no zeros yields no hits, the polish included
     hits = numeric.numeric_sweep(
         "s7",
         "nhf",
@@ -157,7 +156,6 @@ def test_sweep_empty_region():
         a_range=(1.0, 1.2),
         b_range=(2.0, 2.2),
         resolution=0.1,
-        refine=False,
     )
     assert hits == []
 

@@ -16,7 +16,8 @@ from g2cal.scalars import (
     s_k,
     TrigScalar,
 )
-from g2cal.exterior import Form, OrthoFrame, ext_d, d_squared_check
+from g2cal import structures
+from g2cal.exterior import Form, OrthoFrame, ext_d, orbit_d, d_squared_check
 from g2cal.structures import (
     LAMBDA_CANON,
     MU_CANON,
@@ -36,7 +37,6 @@ from g2cal.structures import (
     chi_four_form,
     verify_np2,
     NotProportional,
-    ClaimFails,
     gram_blocks_report,
     AnsatzFamily,
     nhf_residual,
@@ -71,15 +71,22 @@ def test_curvature_proof_line():
     assert ext_d(asd_two_forms(cf)[0], cf) == want
 
 
-def test_vertical_identity_and_perturbation():
+def test_vertical_identity_and_perturbation(monkeypatch):
     assert verify_lemma_1_1().status == "holds"
-    assert verify_lemma_1_1(perturb=True).status == "fails"
+    betas = beta_forms
+
+    def perturbed(cf):
+        b1, b2, b3 = betas(cf)
+        return b1 + cf.gen("f1"), b2, b3
+
+    monkeypatch.setattr(structures, "beta_forms", perturbed)
+    assert verify_lemma_1_1().status == "fails"
 
 
 def test_su3_invariants():
     cf = s7_coframe()
     su = Su3Structure(s7_frame(cf).forms[:6])
-    assert su.invariants_check()["all"]
+    assert all(su.invariants_check().values())
 
 
 def test_squashed_build_equals_frame_pattern():
@@ -240,11 +247,26 @@ def test_round_family_solution_set():
 
 
 def test_round_family_rejects_wrong_claim():
-    with pytest.raises(ClaimFails):
-        verify_solution_set(
-            AnsatzFamily("s7"), "nhf",
-            [{"a": alg(1), "b": alg(1), "mu": alg(-1)}],
-        )
+    rep, _ = verify_solution_set(
+        AnsatzFamily("s7"), "nhf",
+        [{"a": alg(1), "b": alg(1), "mu": alg(-1)}],
+    )
+    assert rep.status == "fails"
+    assert rep.residual.startswith("constraint survives: ")
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+def test_orbit_d_is_the_dt_free_part_of_d(which):
+    fam = AnsatzFamily(which)
+    cf = fam.coframe()
+    su = fam.su3(cf)
+    i_dt = cf.gens.index("dt")
+    for f in (su.xi, su.re):
+        full = ext_d(f, cf)
+        dt_free = Form(cf.gens, full.degree,
+                       {m: c for m, c in full.terms.items() if i_dt not in m})
+        assert not dt_free.is_zero()
+        assert orbit_d(f, cf) == dt_free
 
 
 def test_joint_system_triples():
