@@ -299,9 +299,9 @@ def d_squared_check(cf):
 
 
 class OrthoFrame:
-    """Declared orthonormal coframe of 7 one-forms over a base coframe.
+    """Declared orthonormal coframe of n one-forms over a base coframe.
 
-    The orientation is frame[0] ^ ... ^ frame[6].  Frame-basis forms
+    The orientation is frame[0] ^ ... ^ frame[n-1].  Frame-basis forms
     live over the abstract generator names in `names`.  The forms must
     span the base coframe (their top wedge is not identically zero), so
     `expand` is injective.

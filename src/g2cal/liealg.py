@@ -1,137 +1,84 @@
-"""Exact so(5) matrix algebra: the principal so(3), its 7-dimensional
-complement, trace pairings, the invariant 3-form, and the pullback of
-the Maurer-Cartan form along the cohomogeneity-one geodesic.
+"""so(5) as 2-forms on R^5: the principal so(3), its 7-dimensional
+complement, trace pairings, the invariant 3-form, the order-3 rotation
+rho acting by a frame expansion, and the pullback of the Maurer-Cartan
+form along the cohomogeneity-one geodesic.
+
+so(5) = Lambda^2(R^5): E_ij = x_i ^ x_j is the skew matrix with +1 at
+(i, j) and -1 at (j, i), so skewness holds by construction and sums,
+scalings and equality are those of `Form`.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .scalars import (
-    AlgebraicScalar,
-    ALG_ZERO,
-    TrigScalar,
-    TRIG_ZERO,
-    alg,
-)
-from .exterior import Form
+from .scalars import TrigScalar, TRIG_ZERO, POLY_ZERO, alg
+from .exterior import Form, OrthoFrame, _add_term
 
 _INV_SQRT5 = alg(0, 0, Fraction(1, 5))        # 1/sqrt5
 _HALF_SQRT3 = alg(0, Fraction(1, 2))          # sin(2*pi/3)
 _MINUS_HALF = alg(Fraction(-1, 2))            # cos(2*pi/3)
 
-
-class So5Element:
-    """Skew-symmetric 5x5 matrix over Q(sqrt3, sqrt5)."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, rows):
-        m = tuple(tuple(AlgebraicScalar.coerce(x) for x in row) for row in rows)
-        if len(m) != 5 or any(len(r) != 5 for r in m):
-            raise ValueError("expected a 5x5 matrix")
-        for i in range(5):
-            for j in range(5):
-                if m[i][j] != -m[j][i]:
-                    raise ValueError("matrix is not skew-symmetric")
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("So5Element is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, So5Element):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-    def __add__(self, other):
-        return So5Element(
-            [[self.m[i][j] + other.m[i][j] for j in range(5)] for i in range(5)]
-        )
-
-    def __neg__(self):
-        return So5Element([[-x for x in row] for row in self.m])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = AlgebraicScalar.coerce(c)
-        return So5Element([[x * c for x in row] for row in self.m])
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.m for x in row)
-
-
-def mat_mul(x, y):
-    """Plain 5x5 product (not skew in general); rows of scalars."""
-    return [
-        [
-            sum((x[i][k] * y[k][j] for k in range(5)), ALG_ZERO)
-            for j in range(5)
-        ]
-        for i in range(5)
-    ]
-
-
-def bracket(x, y):
-    """Commutator xy - yx of skew matrices; Jacobi identity holds."""
-    a, b = x.m, y.m
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return So5Element([[ab[i][j] - ba[i][j] for j in range(5)] for i in range(5)])
-
-
-def trace_pairing(x, y):
-    """tr(xy); symmetric bilinear, negative definite on so(5)."""
-    a, b = x.m, y.m
-    return sum(
-        (a[i][k] * b[k][i] for i in range(5) for k in range(5)),
-        ALG_ZERO,
-    )
+R5_GENS = ("x1", "x2", "x3", "x4", "x5")
 
 
 def E(i, j):
-    """Skew matrix with +1 at (i, j) and -1 at (j, i); 1-based indices."""
-    rows = [[0] * 5 for _ in range(5)]
-    rows[i - 1][j - 1] = 1
-    rows[j - 1][i - 1] = -1
-    return So5Element(rows)
+    """x_i ^ x_j, the skew matrix with +1 at (i, j); 1-based indices."""
+    return Form.monomial(R5_GENS, ("x%d" % i, "x%d" % j))
 
 
-def _combo(*pairs):
-    total = So5Element([[0] * 5 for _ in range(5)])
-    for coeff, mat in pairs:
-        total = total + mat.scale(coeff)
-    return total
+def _bracket_terms(ij, kl):
+    """[E_ij, E_kl] as ((sorted pair, sign), ...); 0-based pairs i < j."""
+    (i, j), (k, l) = ij, kl
+    out = []
+    for delta, sign, p, q in ((j == k, 1, i, l), (j == l, -1, i, k),
+                              (i == k, -1, j, l), (i == l, 1, j, k)):
+        if delta and p != q:
+            out.append(((p, q), sign) if p < q else ((q, p), -sign))
+    return tuple(out)
+
+
+def bracket(x, y):
+    """[x, y] by [E_ij, E_kl] = d_jk E_il - d_jl E_ik - d_ik E_jl + d_il E_jk."""
+    out = {}
+    for ij, cx in x.terms.items():
+        for kl, cy in y.terms.items():
+            terms = _bracket_terms(ij, kl)
+            if terms:
+                c = cx * cy
+                for pq, sign in terms:
+                    _add_term(out, pq, c if sign > 0 else -c)
+    return Form(R5_GENS, 2, out)
+
+
+def trace_pairing(x, y):
+    """tr(xy) = -2 sum_m x_m y_m; symmetric, negative definite on so(5)."""
+    dot = sum((c * y.terms[m] for m, c in x.terms.items() if m in y.terms),
+              POLY_ZERO)
+    return (dot * -2).const_value().const_value()
 
 
 def epsilon_basis():
     """Basis of the principal so(3), normalized so tr(e_i e_j) = -2 d_ij."""
+    r = _INV_SQRT5
     return (
-        _combo((_INV_SQRT5 * 2, E(2, 3)), (_INV_SQRT5, E(4, 5))),
-        _combo((_INV_SQRT5, E(2, 4)), (_INV_SQRT5, E(3, 5)),
-               (_INV_SQRT5 * alg(0, 1), E(1, 4))),
-        _combo((-_INV_SQRT5, E(2, 5)), (_INV_SQRT5, E(3, 4)),
-               (_INV_SQRT5 * alg(0, 1), E(1, 5))),
+        E(2, 3).scale(r * 2) + E(4, 5).scale(r),
+        E(2, 4).scale(r) + E(3, 5).scale(r) + E(1, 4).scale(r * alg(0, 1)),
+        E(2, 5).scale(-r) + E(3, 4).scale(r) + E(1, 5).scale(r * alg(0, 1)),
     )
 
 
 def gamma_basis():
     """Basis of the trace-orthogonal complement, tr(g_i g_j) = -2 d_ij."""
-    a, b = _MINUS_HALF, _HALF_SQRT3
+    a, b, r = _MINUS_HALF, _HALF_SQRT3, _INV_SQRT5
     return (
-        _combo((_INV_SQRT5, E(2, 3)), (_INV_SQRT5 * (-2), E(4, 5))),
+        E(2, 3).scale(r) + E(4, 5).scale(r * -2),
         E(1, 3).scale(-1),
-        _combo((_INV_SQRT5 * b, E(1, 5)), (_INV_SQRT5 * a, E(2, 5)),
-               (_INV_SQRT5 * (-2), E(3, 4))),
-        _combo((-a, E(1, 5)), (b, E(2, 5))),
-        _combo((_INV_SQRT5 * (-b), E(1, 4)), (_INV_SQRT5 * a, E(2, 4)),
-               (_INV_SQRT5 * 2, E(3, 5))),
-        _combo((-a, E(1, 4)), (-b, E(2, 4))),
+        E(1, 5).scale(r * b) + E(2, 5).scale(r * a) + E(3, 4).scale(r * -2),
+        E(1, 5).scale(-a) + E(2, 5).scale(b),
+        E(1, 4).scale(-r * b) + E(2, 4).scale(r * a) + E(3, 5).scale(r * 2),
+        E(1, 4).scale(-a) + E(2, 4).scale(-b),
         E(1, 2),
     )
 
@@ -200,46 +147,43 @@ def rotation_curve():
     return FrameCurve(rotation_curve_entries())
 
 
-def rho_matrix():
-    """R(2*pi/3), the order-3 rotation cycling the bases, as rows.
-
-    It lies in SO(5), not in so(5), so it is no So5Element.
-    """
+@functools.cache
+def _rho():
+    """R(2*pi/3), the order-3 rotation cycling the bases, as the frame
+    of its columns rho e_1, ..., rho e_5."""
     c, s = _MINUS_HALF, _HALF_SQRT3
-    rows = [
-        [c, s, 0, 0, 0],
-        [-s, c, 0, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-        [0, 0, 1, 0, 0],
-    ]
-    return [[AlgebraicScalar.coerce(x) for x in row] for row in rows]
+    x = [Form.generator(R5_GENS, g) for g in R5_GENS]
+    return OrthoFrame(R5_GENS, (
+        x[0].scale(c) - x[1].scale(s), x[0].scale(s) + x[1].scale(c),
+        x[4], x[2], x[3],
+    ))
 
 
 def ad_rho(x):
-    """Adjoint action rho x rho^-1 of the order-3 frame element."""
-    rho = rho_matrix()
-    rho_t = [[rho[j][i] for j in range(5)] for i in range(5)]  # rho^-1
-    return So5Element(mat_mul(rho, mat_mul(x.m, rho_t)))
+    """rho x rho^-1 as the expansion of x in rho's frame, since
+    rho E_ij rho^T = rho e_i ^ rho e_j."""
+    return _rho().expand(x)
 
 
 def rho_action_check():
     """Order-3 cycling of the gamma pairs and the epsilon triple.
 
-    The adjoint action of rho maps (g1, g2) -> (g3, g4) -> (g5, g6)
-    exactly and fixes g7.  On the principal so(3) it permutes the
-    epsilon basis cyclically only up to sign (e1 -> e3 -> -e2 -> -e1);
-    the signs are forced by the bracket normalization [e1, e2] = -k e3,
-    which a sign-free 3-cycle would contradict.
+    ad rho expands x in the frame of rho's columns; on a generator x_m it
+    gives rho e_m, so rho^3 = 1 is checked on the five generators.  ad rho
+    maps (g1, g2) -> (g3, g4) -> (g5, g6) exactly and fixes g7.  On the
+    principal so(3) it permutes the epsilon basis cyclically only up to
+    sign (e1 -> e3 -> -e2 -> -e1); the signs are forced by the bracket
+    normalization [e1, e2] = -k e3, which a sign-free 3-cycle would
+    contradict.
     """
     eps = epsilon_basis()
     gam = gamma_basis()
-    rho = rho_matrix()
-    rho3 = mat_mul(rho, mat_mul(rho, rho))
-    ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    gens = [Form.generator(R5_GENS, g) for g in R5_GENS]
     eps_images = [ad_rho(x) for x in eps]
     return {
-        "rho_cubed_is_identity": rho3 == ident,
+        "rho_cubed_is_identity": all(
+            ad_rho(ad_rho(ad_rho(x))) == x for x in gens
+        ),
         "epsilon_cycled_up_to_sign": (
             eps_images[0] == eps[2]
             and eps_images[1] == -eps[0]
@@ -275,7 +219,8 @@ def pullback_frame():
     """Pull the Maurer-Cartan form back along the geodesic frame.
 
     Returns the seven 1-forms Y_i (pullbacks of 2 g*_i) over the
-    (p, n, dt) coframe, extracted by trace pairing against the gammas.
+    (p, n, dt) coframe, extracted by trace pairing against the gammas:
+    Y_g = sum_{r<s} g_rs (pulled[r][s] - pulled[s][r]).
     The conjugated matrix is kept at half the scale of the input, the
     normalization under which Y_7 = 2 dt and the 2x2 block pattern
     (Y_1, Y_2) = [[2L, L cos t], [0, 2 sin t]] (p_1, n_1) holds.
@@ -306,10 +251,7 @@ def pullback_frame():
     out = []
     for g in gamma_basis():
         acc = z
-        for r_i in range(5):
-            for s_i in range(5):
-                c = g.m[r_i][s_i]
-                if not c.is_zero():
-                    acc = acc + pulled[s_i][r_i].scale(-c)
+        for (r_i, s_i), c in g.terms.items():
+            acc = acc + (pulled[r_i][s_i] - pulled[s_i][r_i]).scale(c)
         out.append(acc)
     return out

@@ -52,10 +52,6 @@ from .liealg import (
 )
 
 
-class NotProportional(ArithmeticError):
-    """No single constant relates the two forms."""
-
-
 class ClaimFails(AssertionError):
     """A claimed solution leaves some constraint nonzero."""
 
@@ -307,23 +303,22 @@ def verify_np2(phi, frame, cf, identity="np2"):
     spans the base coframe, so the expansion check pins phi down and
     star(phi) is nonzero.  mu is read off one nonzero Fourier
     coefficient of star(phi); one form comparison then checks it
-    against every other coefficient.
+    against every other coefficient.  A phi that is not the frame's
+    G2 form, conflicting ratios or mu = 0 give a fails report.
     """
     if phi.degree != 3:
         raise DegreeError("expected a 3-form")
     phi_frame = g2_frame_form(frame.names)
     if frame.expand(phi_frame) != phi:
-        raise NotProportional("phi is not the canonical G2 form of the frame")
+        return _report(identity, ["phi is not the canonical G2 form of the frame"])
     dphi = ext_d(phi, cf)
     star = frame.expand(hodge_star(phi_frame, frame))
     idx, coeff = next(iter(star.terms.items()))
     k, c = next(iter(coeff.const_value().terms.items()))
     mu = dphi.terms.get(idx, POLY_ZERO).const_value().terms.get(k, ALG_ZERO) / c
     if dphi != star.scale(mu):
-        raise NotProportional("conflicting ratios")
-    if mu.is_zero():
-        return VerificationReport(identity, "fails", residual="mu is zero")
-    return VerificationReport(identity, "holds-with-mu", mu=mu)
+        return _report(identity, ["conflicting ratios"])
+    return _report(identity, ["mu is zero"] if mu.is_zero() else [], mu=mu)
 
 
 # -- Gram blocks ---------------------------------------------------------------
@@ -429,13 +424,12 @@ def _bracket_closure_report():
     eps = epsilon_basis()
     gam = gamma_basis()
     failures = []
-    for e in eps:
-        for g in gam:
+    for i, e in enumerate(eps):
+        for j, g in enumerate(gam):
             x = bracket(e, g)
             # x must lie in span(gamma): trace-orthogonal to every epsilon
-            for e2 in eps:
-                if not trace_pairing(x, e2).is_zero():
-                    failures.append("bracket leaves the complement")
+            if any(not trace_pairing(x, e2).is_zero() for e2 in eps):
+                failures.append("bracket (%d,%d) leaves the complement" % (i, j))
     return _report("bracket-closure", failures)
 
 

@@ -13,9 +13,8 @@ import pytest
 from g2cal import cli, exterior
 from g2cal import structures as st
 from g2cal.cli import main, SPACES
-from g2cal.exterior import CoframeSpec
+from g2cal.exterior import CoframeSpec, OrthoFrame, SingularFrame
 from g2cal.scalars import alg, ALG_ZERO
-from g2cal.structures import NotProportional
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "report-all.json"
 
@@ -87,7 +86,7 @@ def test_report_all_deterministic(capsys):
 
 def test_runner_error_becomes_fails_report(capsys, monkeypatch):
     def broken():
-        raise NotProportional("conflicting ratios")
+        raise SingularFrame("wedge of the frame forms vanishes")
 
     monkeypatch.setitem(cli.SPACE_RUNNERS, "connection", broken)
     code, out, _ = run(capsys, "verify", "--space", "connection",
@@ -96,11 +95,28 @@ def test_runner_error_becomes_fails_report(capsys, monkeypatch):
     rep, = json.loads(out)
     assert rep["identity"] == "connection"
     assert rep["status"] == "fails"
-    assert rep["residual"] == "conflicting ratios"
+    assert rep["residual"] == "wedge of the frame forms vanishes"
     monkeypatch.setattr(cli, "SPACES", ("gram-blocks", "connection"))
     code, out, _ = run(capsys, "report-all", "--format", "json")
     assert code == 1
     assert [r["status"] for r in json.loads(out)] == ["holds", "fails"]
+
+
+def test_wrong_squashing_fails_np2_and_keeps_d_squared(capsys, monkeypatch):
+    def squashed_by_one():
+        cf = st.s7_coframe()
+        forms = list(st.s7_frame(cf).forms)
+        forms[0:6:2] = st.beta_forms(cf)
+        frame = OrthoFrame(st.S7_FRAME_NAMES, forms)
+        return st.canonical_g2_form(frame), frame, cf
+
+    monkeypatch.setattr(st, "build_s7_squashed", squashed_by_one)
+    code, out, _ = run(capsys, "verify", "--space", "s7-squashed", "--format", "json")
+    assert code == 1
+    assert [(r["identity"], r["status"], r["residual"]) for r in json.loads(out)] == [
+        ("s7-coframe-d-squared", "holds", None),
+        ("np2-s7-squashed", "fails", "conflicting ratios"),
+    ]
 
 
 def test_rejected_claim_becomes_fails_report(capsys, monkeypatch):
@@ -253,6 +269,15 @@ def test_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_report_all_bytes_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "g2cal.cli", "report-all", "--format", "json"]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        assert done.stdout == GOLDEN.read_bytes(), seed
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):

@@ -1,14 +1,11 @@
-"""so(5) matrix algebra: bases, pairings, cycling, frame pullback."""
+"""so(5) as 2-forms on R^5: bases, pairings, cycling, frame pullback."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from g2cal.scalars import alg, ALG_ZERO, c_k, s_k, TrigScalar
 from g2cal.exterior import Form
 from g2cal.liealg import (
-    So5Element,
     E,
     bracket,
     trace_pairing,
@@ -22,22 +19,46 @@ from g2cal.liealg import (
     ad_rho,
     B7_GENS,
     GAMMA_GENS,
+    R5_GENS,
 )
 
 
 def _random_skew(rng):
-    rows = [[Fraction(0)] * 5 for _ in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            v = Fraction(rng.randint(-3, 3))
-            rows[i][j] = v
-            rows[j][i] = -v
-    return So5Element(rows)
+    return Form(R5_GENS, 2, {
+        (i, j): rng.randint(-3, 3) for i in range(5) for j in range(i + 1, 5)
+    })
 
 
-def test_skew_enforced():
-    with pytest.raises(ValueError):
-        So5Element([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+def _matrix(x):
+    """The 5x5 skew matrix of a 2-form, rows of AlgebraicScalars."""
+    m = [[ALG_ZERO] * 5 for _ in range(5)]
+    for (i, j), c in x.terms.items():
+        m[i][j] = c.const_value().const_value()
+        m[j][i] = -m[i][j]
+    return m
+
+
+def _mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(5)), ALG_ZERO)
+             for j in range(5)] for i in range(5)]
+
+
+def test_operations_match_matrix_reference():
+    rng = random.Random(7)
+    forms = [_random_skew(rng) for _ in range(100)]
+    # R(2 pi/3), the rotation that the frame of ad_rho is built from
+    c, s, o, z = alg(Fraction(-1, 2)), alg(0, Fraction(1, 2)), alg(1), ALG_ZERO
+    rho = [[c, s, z, z, z], [-s, c, z, z, z], [z, z, z, o, z],
+           [z, z, z, z, o], [z, z, o, z, z]]
+    rho_t = [list(col) for col in zip(*rho)]
+    for x, y in zip(forms, forms[1:] + forms[:1]):
+        a, b = _matrix(x), _matrix(y)
+        ab, ba = _mat_mul(a, b), _mat_mul(b, a)
+        assert _matrix(bracket(x, y)) == [
+            [ab[i][j] - ba[i][j] for j in range(5)] for i in range(5)
+        ]
+        assert trace_pairing(x, y) == sum((ab[i][i] for i in range(5)), ALG_ZERO)
+        assert _matrix(ad_rho(x)) == _mat_mul(rho, _mat_mul(a, rho_t))
 
 
 def test_jacobi_identity_100_triples():

@@ -36,7 +36,6 @@ from g2cal.structures import (
     g2_frame_form,
     chi_four_form,
     verify_np2,
-    NotProportional,
     gram_blocks_report,
     AnsatzFamily,
     nhf_residual,
@@ -131,8 +130,9 @@ def test_np2_homogeneous_space():
 def test_np2_rejects_non_proportional():
     phi, frame, cf = build_s7_squashed()
     x123 = frame.forms[0].wedge(frame.forms[1]).wedge(frame.forms[2])
-    with pytest.raises(NotProportional):
-        verify_np2(x123, frame, cf)
+    rep = verify_np2(x123, frame, cf)
+    assert rep.status == "fails"
+    assert rep.residual == "phi is not the canonical G2 form of the frame"
 
 
 @pytest.mark.parametrize(
@@ -146,8 +146,9 @@ def test_np2_rejects_wrong_squashing(lam):
     forms = list(s7_frame(cf).forms)
     forms[0:6:2] = [b.scale(lam) for b in beta_forms(cf)]
     frame = OrthoFrame(S7_FRAME_NAMES, forms)
-    with pytest.raises(NotProportional, match="conflicting ratios"):
-        verify_np2(canonical_g2_form(frame), frame, cf)
+    rep = verify_np2(canonical_g2_form(frame), frame, cf)
+    assert rep.status == "fails"
+    assert rep.residual == "conflicting ratios"
 
 
 def test_gram_blocks():
@@ -327,3 +328,15 @@ def test_lie_check_reports_in_order():
         "trace-pairings", "rho-cycling", "invariant-three-form", "bracket-closure",
     ]
     assert all(r.status == "holds" for r in reps)
+
+
+def test_bracket_closure_names_each_failing_pair(monkeypatch):
+    # with e1 in place of g1, [e2, g1] and [e3, g1] land in so(3)
+    gam = structures.gamma_basis()
+    eps = structures.epsilon_basis()
+    monkeypatch.setattr(structures, "gamma_basis", lambda: (eps[0],) + gam[1:])
+    rep = structures._bracket_closure_report()
+    assert rep.status == "fails"
+    assert rep.residual == (
+        "bracket (1,0) leaves the complement; bracket (2,0) leaves the complement"
+    )
