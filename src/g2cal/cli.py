@@ -34,43 +34,39 @@ def _d2_report(identity, cf):
     return st._report(identity, [] if d_squared_check(cf) else ["d^2 != 0"])
 
 
+# Runners yield their reports one by one, so `verify` can time each.
 # The checks after a d^2 report use d, so they run only when d^2 = 0.
 
 def _run_s7_squashed():
     phi, frame, cf = st.build_s7_squashed()
     d2 = _d2_report("s7-coframe-d-squared", cf)
-    if not d2.ok():
-        return [d2]
-    return [d2, st.verify_np2(phi, frame, cf, "np2-s7-squashed")]
+    yield d2
+    if d2.ok():
+        yield st.verify_np2(phi, frame, cf, "np2-s7-squashed")
 
 
 def _run_s7_canonical():
     phi, frame, cf = st.build_s7_squashed()
     agree = phi == st.canonical_g2_form(frame)
+    yield st._report("s7-frame-form-agreement", [] if agree else ["forms differ"])
     inv = st.Su3Structure(frame.forms[:6]).invariants_check()
+    yield st._report("su3-invariants-s7", [name for name, ok in inv.items() if not ok])
     fam = st.AnsatzFamily(st.AnsatzFamily.S7_STYLE)
-    rep, _ = st.verify_solution_set(
+    yield st.verify_solution_set(
         fam, "both", [st.s7_canonical_claim()], "s7-canonical-systems"
-    )
-    return [
-        st._report("s7-frame-form-agreement", [] if agree else ["forms differ"]),
-        st._report(
-            "su3-invariants-s7",
-            [name for name, ok in inv.items() if not ok],
-        ),
-        rep,
-    ]
+    )[0]
 
 
 def _run_b7():
     phi, frame, cf = st.build_b7()
     d2 = _d2_report("b7-coframe-d-squared", cf)
+    yield d2
     if not d2.ok():
-        return [d2]
+        return
+    yield st.verify_np2(phi, frame, cf, "np2-b7")
     fam = st.AnsatzFamily(st.AnsatzFamily.B7_STYLE)
-    rep_i, _ = st.verify_solution_set(fam, "both", st.joint_system_claims(), "joint-system-triples")
-    rep_ii, _ = st.verify_solution_set(fam, "nhf", st.locus_claims(), "invariant-family-locus")
-    return [d2, st.verify_np2(phi, frame, cf, "np2-b7"), rep_i, rep_ii]
+    yield st.verify_solution_set(fam, "both", st.joint_system_claims(), "joint-system-triples")[0]
+    yield st.verify_solution_set(fam, "nhf", st.locus_claims(), "invariant-family-locus")[0]
 
 
 SPACE_RUNNERS = {
@@ -88,10 +84,12 @@ _RUNNER_ERRORS = (SingularFrame,)
 
 
 def _run_space(space):
+    """The space's reports as they are made; a runner error ends them
+    with one fails report named after the space."""
     try:
-        return SPACE_RUNNERS[space]()
+        yield from SPACE_RUNNERS[space]()
     except _RUNNER_ERRORS as exc:
-        return [st.VerificationReport(space, "fails", residual=str(exc))]
+        yield st.VerificationReport(space, "fails", residual=str(exc))
 
 
 _FAMILY_OF_SPACE = {
@@ -166,10 +164,14 @@ def _cmd_verify(cfg):
     if space is None:
         sys.stderr.write("verify needs --space\n")
         return 2
-    t0 = time.monotonic()
-    reports = _run_space(space)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    payload = [_report_json(r, elapsed_ms=elapsed) for r in reports]
+    reports, payload = [], []
+    start = time.monotonic()
+    # each report carries the time since the previous one
+    for rep in _run_space(space):
+        now = time.monotonic()
+        reports.append(rep)
+        payload.append(_report_json(rep, elapsed_ms=int((now - start) * 1000)))
+        start = now
     _emit(payload, cfg["format"], cfg.get("output"),
           [_report_text(r) for r in reports])
     return 0 if all(r.ok() for r in reports) else 1

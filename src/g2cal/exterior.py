@@ -4,8 +4,9 @@ Forms are sparse sums of wedge monomials with ParamPoly coefficients.
 A CoframeSpec supplies the structure equations that drive the orbit
 derivative `orbit_d`; the exterior derivative is d = orbit_d + dt ^ d/dt,
 the transverse coordinate t entering only through coefficient
-derivatives paired with the dt generator.  The Hodge star is taken
-combinatorially in a declared orthonormal frame.
+derivatives paired with the dt generator, and `dt_split` takes a form
+apart the same way.  The Hodge star is taken combinatorially in a
+declared orthonormal frame.
 """
 
 from __future__ import annotations
@@ -291,6 +292,22 @@ def ext_d(x, cf):
             dc = coeff.deriv_t()
             _add_term(out, merged, dc if sign > 0 else -dc)
     return Form(cf.gens, dx.degree, out)
+
+
+def dt_split(x, cf):
+    """(x0, x1) with x = x0 + dt ^ x1 and neither part containing dt:
+    the dt-free part and the contraction by d/dt, pairing with dt as
+    `ext_d` does."""
+    i_dt = cf.gens.index(cf.t_name)
+    free, contracted = {}, {}
+    for idx, coeff in x.terms.items():
+        if i_dt not in idx:
+            free[idx] = coeff
+            continue
+        rest = tuple(i for i in idx if i != i_dt)
+        _, sign = _merge_sorted((i_dt,), rest)
+        contracted[rest] = coeff if sign > 0 else -coeff
+    return Form(cf.gens, x.degree, free), Form(cf.gens, x.degree - 1, contracted)
 
 
 def d_squared_check(cf):

@@ -119,34 +119,6 @@ def rotation_curve_entries():
     )
 
 
-class FrameCurve:
-    """t-parametrized orthogonal 5x5 matrix with TrigScalar entries."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, rows):
-        m = tuple(tuple(TrigScalar.coerce(x) for x in row) for row in rows)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameCurve is immutable")
-
-    def is_orthogonal(self):
-        one = TrigScalar.const(1)
-        for i in range(5):
-            for j in range(5):
-                dot = TRIG_ZERO
-                for k in range(5):
-                    dot = dot + self.m[k][i] * self.m[k][j]
-                if dot != (one if i == j else TRIG_ZERO):
-                    return False
-        return True
-
-
-def rotation_curve():
-    return FrameCurve(rotation_curve_entries())
-
-
 @functools.cache
 def _rho():
     """R(2*pi/3), the order-3 rotation cycling the bases, as the frame

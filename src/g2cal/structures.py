@@ -2,13 +2,16 @@
 
 Builds the two explicit coframes, the connection/curvature data living
 on the first one, the two distinguished 3-forms with their orthonormal
-frames, the one-parameter hypersurface structures, the parametric
-ansatz families whose residuals feed the constraint extraction, and
-the so(5) checks behind the lie-checks space.
+frames, the parametric ansatz families, and the so(5) checks behind the
+lie-checks space.  The nearly-parallel G2 equation d(phi) = mu star(phi)
+is written once, in `np2_residual`: `verify_np2` solves it for mu on the
+built structures, and a family's nearly-half-flat and flow systems are
+the dt-free and dt parts of the same residual.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +20,6 @@ from .scalars import (
     ALG_ZERO,
     TrigScalar,
     ParamPoly,
-    POLY_ZERO,
     LAM,
     A_UNK,
     B_UNK,
@@ -32,7 +34,7 @@ from .exterior import (
     CoframeSpec,
     OrthoFrame,
     ext_d,
-    orbit_d,
+    dt_split,
     hodge_star,
     gram_matrix,
     wedge_all,
@@ -238,6 +240,12 @@ S7_FRAME_NAMES = ("X1", "X2", "X3", "X4", "X5", "X6", "X7")
 B7_FRAME_NAMES = ("Y1", "Y2", "Y3", "Y4", "Y5", "Y6", "Y7")
 
 
+def conormal_frame(names, six, cf):
+    """Six orbit 1-forms plus X_7 = -dt, the unit conormal under which
+    the structures are exactly nearly parallel with a single constant."""
+    return OrthoFrame(names, tuple(six) + (cf.gen(cf.t_name, -1),))
+
+
 def s7_frame(cf):
     """X_{2k-1} = lam beta_k, X_{2k} = 4 s_k e_k, X_7 = -dt."""
     betas = beta_forms(cf)
@@ -245,8 +253,7 @@ def s7_frame(cf):
     for k in (1, 2, 3):
         forms.append(betas[k - 1].scale(LAMBDA_CANON))
         forms.append(cf.gen("e%d" % k, s_k(k) * 4))
-    forms.append(cf.gen("dt", -1))
-    return OrthoFrame(S7_FRAME_NAMES, forms)
+    return conormal_frame(S7_FRAME_NAMES, forms, cf)
 
 
 def build_s7_squashed():
@@ -282,41 +289,41 @@ def chi_four_form(cf):
 
 
 def build_b7():
-    """X7 ^ xi + Re Xi over the (p, n, dt) coframe, on the pulled-back frame.
-
-    The seventh frame element is -dt, the same unit-conormal convention
-    as the round-sphere frame; this is the orientation under which the
-    structure is exactly nearly parallel with a single constant.
-    """
+    """X7 ^ xi + Re Xi over the (p, n, dt) coframe, on the pulled-back
+    frame completed by the conormal -dt."""
     cf = b7_coframe()
-    ys = pullback_frame()
-    x7 = cf.gen("dt").scale(Fraction(-1))
-    frame = OrthoFrame(B7_FRAME_NAMES, tuple(ys[:6]) + (x7,))
+    frame = conormal_frame(B7_FRAME_NAMES, pullback_frame()[:6], cf)
     return canonical_g2_form(frame), frame, cf
+
+
+def np2_residual(frame, cf, mu=MU):
+    """d(phi) - mu star(phi) for phi the canonical G2 form of the frame.
+
+    The one place the nearly-parallel G2 equation is written.  The star
+    is taken on phi's seven frame monomials, where it is a sign table,
+    and expanded over the base coframe; mu defaults to the symbol.
+    """
+    phi = g2_frame_form(frame.names)
+    star = frame.expand(hodge_star(phi, frame))
+    return ext_d(frame.expand(phi), cf) - star.scale(mu)
 
 
 def verify_np2(phi, frame, cf, identity="np2"):
     """Check d(phi) = mu * star(phi) for a single exact constant mu.
 
-    phi must be the canonical G2 form of the frame.  The star is taken
-    on its seven frame monomials, where it is a sign table; the frame
-    spans the base coframe, so the expansion check pins phi down and
-    star(phi) is nonzero.  mu is read off one nonzero Fourier
-    coefficient of star(phi); one form comparison then checks it
-    against every other coefficient.  A phi that is not the frame's
-    G2 form, conflicting ratios or mu = 0 give a fails report.
+    phi must be the canonical G2 form of the frame; the frame spans the
+    base coframe, so this pins phi down and star(phi) is nonzero.  mu is
+    solved, as for a claim binding nothing, from the constraints of
+    `np2_residual`, which must all vanish at it.  A phi that is not the
+    frame's G2 form, conflicting ratios or mu = 0 give a fails report.
     """
     if phi.degree != 3:
         raise DegreeError("expected a 3-form")
-    phi_frame = g2_frame_form(frame.names)
-    if frame.expand(phi_frame) != phi:
+    if canonical_g2_form(frame) != phi:
         return _report(identity, ["phi is not the canonical G2 form of the frame"])
-    dphi = ext_d(phi, cf)
-    star = frame.expand(hodge_star(phi_frame, frame))
-    idx, coeff = next(iter(star.terms.items()))
-    k, c = next(iter(coeff.const_value().terms.items()))
-    mu = dphi.terms.get(idx, POLY_ZERO).const_value().terms.get(k, ALG_ZERO) / c
-    if dphi != star.scale(mu):
+    try:
+        mu = _check_claim(extract_constraints(np2_residual(frame, cf)), {})
+    except ClaimFails:
         return _report(identity, ["conflicting ratios"])
     return _report(identity, ["mu is zero"] if mu.is_zero() else [], mu=mu)
 
@@ -435,13 +442,11 @@ def _bracket_closure_report():
 
 def lie_check_reports():
     """Trace pairings, rho cycling, the invariant 3-form and bracket
-    closure of so(5) = so(3) + complement, in this order."""
-    return [
-        _trace_pairing_report(),
-        _rho_report(),
-        _three_form_report(),
-        _bracket_closure_report(),
-    ]
+    closure of so(5) = so(3) + complement, yielded in this order."""
+    yield _trace_pairing_report()
+    yield _rho_report()
+    yield _three_form_report()
+    yield _bracket_closure_report()
 
 
 # -- parametric ansatz families ------------------------------------------------
@@ -490,8 +495,10 @@ class AnsatzFamily:
             forms.append(even)
         return tuple(forms)
 
-    def su3(self, cf=None):
-        return Su3Structure(self.frame_forms(cf))
+    def frame(self, cf):
+        """The six frame forms completed by the conormal -dt."""
+        names = S7_FRAME_NAMES if self.which == self.S7_STYLE else B7_FRAME_NAMES
+        return conormal_frame(names, self.frame_forms(cf), cf)
 
     def canonical_bindings(self):
         """The specialization recovering the built-in structure's frame."""
@@ -500,25 +507,29 @@ class AnsatzFamily:
         return {"lam": LAMBDA_CANON, "a": alg(Fraction(1, 2)), "b": ALG_ZERO}
 
 
-def nhf_residual(family):
-    """Orbit d(Re Xi) - mu (1/2) xi^2, polynomial in (lam, a, b, mu)."""
+@functools.cache
+def _family_parts(which):
+    """The dt-free part and the dt part of a family's NP2 residual, built
+    once per family; forms are immutable, so callers share them."""
+    family = AnsatzFamily(which)
     cf = family.coframe()
-    su = family.su3(cf)
-    half = ParamPoly.const(Fraction(1, 2))
-    return orbit_d(su.re, cf) - su.xi.wedge(su.xi).scale(MU * half)
+    return dt_split(np2_residual(family.frame(cf), cf), cf)
+
+
+def nhf_residual(family):
+    """The nearly-half-flat residual: the dt-free part of
+    d(phi) - mu star(phi), polynomial in (lam, a, b, mu)."""
+    return _family_parts(family.which)[0]
 
 
 def flow_residual(family):
-    """Orbit d(xi) + d/dt(Re Xi) - mu Im Xi, the evolution residual.
+    """The evolution residual: the dt part of d(phi) - mu star(phi),
+    contracted by dt.
 
-    The time derivative enters with the sign matching the -dt conormal
-    orientation, under which this is the degree-3 dt-component of
-    d(phi) - mu star(phi) for phi built by canonical_g2_form.
+    With phi = -dt ^ xi + Re Xi it reads orbit d(xi) + d/dt Re Xi -
+    mu Im Xi; the sign of d/dt comes from `ext_d`, not from a choice here.
     """
-    cf = family.coframe()
-    su = family.su3(cf)
-    ddt_re = su.re.map_coefficients(lambda c: c.deriv_t())
-    return orbit_d(su.xi, cf) + ddt_re - su.im.scale(MU)
+    return _family_parts(family.which)[1]
 
 
 def system_constraints(family, system):

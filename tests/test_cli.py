@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,18 @@ def test_verify_json_schema(capsys):
         "approx": pytest.approx(2.68328157300, abs=1e-10),
         "sign": "-",
     }
+
+
+def test_verify_times_each_report(capsys, monkeypatch):
+    # one clock read before the runner and one after each report
+    ticks = iter([10.0, 10.25, 11.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, _ = run(capsys, "verify", "--space", "s7-squashed", "--format", "json")
+    assert code == 0
+    assert [(r["identity"], r["elapsed_ms"]) for r in json.loads(out)] == [
+        ("s7-coframe-d-squared", 250),
+        ("np2-s7-squashed", 750),
+    ]
 
 
 def test_verify_requires_space(capsys):
@@ -100,6 +113,19 @@ def test_runner_error_becomes_fails_report(capsys, monkeypatch):
     code, out, _ = run(capsys, "report-all", "--format", "json")
     assert code == 1
     assert [r["status"] for r in json.loads(out)] == ["holds", "fails"]
+
+
+def test_runner_error_after_a_report_keeps_it(capsys, monkeypatch):
+    def breaks_midway():
+        yield st.verify_connection()
+        raise SingularFrame("wedge of the frame forms vanishes")
+
+    monkeypatch.setitem(cli.SPACE_RUNNERS, "connection", breaks_midway)
+    code, out, _ = run(capsys, "verify", "--space", "connection", "--format", "json")
+    assert code == 1
+    assert [(r["identity"], r["status"]) for r in json.loads(out)] == [
+        ("connection", "holds"), ("connection", "fails"),
+    ]
 
 
 def test_wrong_squashing_fails_np2_and_keeps_d_squared(capsys, monkeypatch):

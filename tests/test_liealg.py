@@ -12,7 +12,6 @@ from g2cal.liealg import (
     epsilon_basis,
     gamma_basis,
     invariant_three_form,
-    rotation_curve,
     rho_action_check,
     maurer_cartan_matrix,
     pullback_frame,
@@ -137,10 +136,6 @@ def test_three_form_tracks_structure_constants():
     inv = lead.inverse()
     for (i, j, k), c in f.terms.items():
         assert trace_pairing(bracket(gam[i], gam[j]), gam[k]) * inv == c
-
-
-def test_rotation_curve_orthogonal():
-    assert rotation_curve().is_orthogonal()
 
 
 def test_rho_action():

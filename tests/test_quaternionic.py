@@ -1,85 +1,9 @@
-"""Quaternion algebra, vector-valued forms, the double-cover matrix."""
+"""Quaternion-valued forms and their wedge product."""
 
-import random
-from fractions import Fraction
-
-import pytest
-
-from g2cal.scalars import alg, ALG_ONE, ALG_ZERO, c_k, s_k
 from g2cal.exterior import Form
-from g2cal.quaternionic import (
-    Quaternion,
-    QuatForm,
-    quat_wedge,
-    so3_matrix,
-    NotUnit,
-)
+from g2cal.quaternionic import QuatForm, quat_wedge
 
 GENS = ("e1", "e2", "e3", "f1", "f2", "f3", "dt")
-
-
-def _rational_unit(rng):
-    """Unit quaternion from a Pythagorean-style parametrization."""
-    a, b, c, d = (Fraction(rng.randint(-5, 5)) for _ in range(4))
-    n = a * a + b * b + c * c + d * d
-    if n == 0:
-        return Quaternion(1, 0, 0, 0)
-    # q^2 / |q|^2 has unit norm and rational components
-    q = Quaternion(a, b, c, d)
-    scale = alg(Fraction(1, 1) / n)
-    return (q * q) * scale
-
-
-def test_quaternion_units():
-    i = Quaternion(0, 1, 0, 0)
-    j = Quaternion(0, 0, 1, 0)
-    k = Quaternion(0, 0, 0, 1)
-    assert i * j == k and j * k == i and k * i == j
-    assert i * i == Quaternion(-1, 0, 0, 0)
-    assert j * i == -k
-
-
-def test_norm_multiplicative():
-    rng = random.Random(11)
-    for _ in range(50):
-        x = Quaternion(*(Fraction(rng.randint(-4, 4)) for _ in range(4)))
-        y = Quaternion(*(Fraction(rng.randint(-4, 4)) for _ in range(4)))
-        assert (x * y).norm_sq() == x.norm_sq() * y.norm_sq()
-
-
-def test_so3_matrix_requires_unit():
-    with pytest.raises(NotUnit):
-        so3_matrix(Quaternion(2, 0, 0, 0))
-
-
-def _mat_mul3(x, y):
-    return [
-        [sum((x[i][k] * y[k][j] for k in range(3)), ALG_ZERO) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def test_double_cover_homomorphism_100_pairs():
-    rng = random.Random(5)
-    for _ in range(100):
-        a = _rational_unit(rng)
-        b = _rational_unit(rng)
-        lhs = so3_matrix(a * b)
-        rhs = _mat_mul3(so3_matrix(a), so3_matrix(b))
-        assert lhs == rhs
-    # the kernel: -1 maps to the identity
-    assert so3_matrix(Quaternion(-1, 0, 0, 0)) == so3_matrix(Quaternion(1, 0, 0, 0))
-
-
-def test_so3_matrix_orthogonal():
-    rng = random.Random(9)
-    for _ in range(20):
-        m = so3_matrix(_rational_unit(rng))
-        mt = [[m[j][i] for j in range(3)] for i in range(3)]
-        prod = _mat_mul3(m, mt)
-        for i in range(3):
-            for j in range(3):
-                assert prod[i][j] == (ALG_ONE if i == j else ALG_ZERO)
 
 
 def test_quat_wedge_components():

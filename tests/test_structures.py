@@ -17,7 +17,7 @@ from g2cal.scalars import (
     TrigScalar,
 )
 from g2cal import structures
-from g2cal.exterior import Form, OrthoFrame, ext_d, orbit_d, d_squared_check
+from g2cal.exterior import Form, OrthoFrame, ext_d, orbit_d, dt_split, d_squared_check
 from g2cal.structures import (
     LAMBDA_CANON,
     MU_CANON,
@@ -36,6 +36,7 @@ from g2cal.structures import (
     g2_frame_form,
     chi_four_form,
     verify_np2,
+    np2_residual,
     gram_blocks_report,
     AnsatzFamily,
     nhf_residual,
@@ -183,7 +184,7 @@ def test_b7_family_even_leg_vanishes_at_zero():
 def test_half_xi_squared_closed_form():
     fam = AnsatzFamily("s7")
     cf = s7_coframe()
-    su = fam.su3(cf)
+    su = Su3Structure(fam.frame_forms(cf))
     half_sq = su.xi.wedge(su.xi).scale(P(Fraction(1, 2)))
     lam_sq = LAM * LAM
     want = {}
@@ -260,7 +261,7 @@ def test_round_family_rejects_wrong_claim():
 def test_orbit_d_is_the_dt_free_part_of_d(which):
     fam = AnsatzFamily(which)
     cf = fam.coframe()
-    su = fam.su3(cf)
+    su = Su3Structure(fam.frame_forms(cf))
     i_dt = cf.gens.index("dt")
     for f in (su.xi, su.re):
         full = ext_d(f, cf)
@@ -268,6 +269,29 @@ def test_orbit_d_is_the_dt_free_part_of_d(which):
                        {m: c for m, c in full.terms.items() if i_dt not in m})
         assert not dt_free.is_zero()
         assert orbit_d(f, cf) == dt_free
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+def test_nhf_and_flow_are_the_parts_of_the_np2_residual(which):
+    # the hand formulas of the nearly-half-flat and evolution systems for
+    # phi = -dt ^ xi + Re Xi; the sign of d/dt Re Xi is checked here
+    fam = AnsatzFamily(which)
+    cf = fam.coframe()
+    su = Su3Structure(fam.frame_forms(cf))
+    ddt_re = su.re.map_coefficients(lambda c: c.deriv_t())
+    nhf = orbit_d(su.re, cf) - su.xi.wedge(su.xi).scale(MU * P(Fraction(1, 2)))
+    flow = orbit_d(su.xi, cf) + ddt_re - su.im.scale(MU)
+    assert nhf_residual(fam) == nhf
+    assert flow_residual(fam) == flow
+    assert np2_residual(fam.frame(cf), cf) == nhf + cf.gen("dt").wedge(flow)
+
+
+def test_dt_split_inverts_dt_wedge():
+    cf = s7_coframe()
+    x0 = cf.mono(("e1", "f2"), 3) + cf.mono(("e2", "e3"), -1)
+    x1 = cf.gen("f1", 2) + cf.gen("e3")
+    free, contracted = dt_split(x0 + cf.gen("dt").wedge(x1), cf)
+    assert free == x0 and contracted == x1
 
 
 def test_joint_system_triples():
@@ -323,7 +347,7 @@ def test_rejection_pass_shifts_every_fixed_parameter():
 
 
 def test_lie_check_reports_in_order():
-    reps = lie_check_reports()
+    reps = list(lie_check_reports())
     assert [r.identity for r in reps] == [
         "trace-pairings", "rho-cycling", "invariant-three-form", "bracket-closure",
     ]
