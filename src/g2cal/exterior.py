@@ -193,9 +193,6 @@ class Form:
         idx = tuple(sorted(gens.index(n) for n in names))
         return self.terms.get(idx, POLY_ZERO)
 
-    def map_coefficients(self, fn):
-        return Form(self.gens, self.degree, {i: fn(c) for i, c in self.terms.items()})
-
     def render(self):
         if not self.terms:
             return "0"

@@ -269,9 +269,10 @@ def build_s7_squashed():
     return phi3, s7_frame(cf), cf
 
 
+@functools.cache
 def g2_frame_form(names):
     """X7 ^ xi + Re Xi over seven generator names: the seven signed
-    monomials of the canonical G2 3-form."""
+    monomials of the canonical G2 3-form, built once per name tuple."""
     xs = [Form.generator(names, n) for n in names]
     su = Su3Structure(xs[:6])
     return xs[6].wedge(su.xi) + su.re
@@ -296,16 +297,16 @@ def build_b7():
     return canonical_g2_form(frame), frame, cf
 
 
-def np2_residual(frame, cf, mu=MU):
-    """d(phi) - mu star(phi) for phi the canonical G2 form of the frame.
+def np2_residual(phi, frame, cf):
+    """d(phi) - mu star(phi), for phi the canonical G2 form of the frame
+    over the base coframe (`canonical_g2_form(frame)`).
 
     The one place the nearly-parallel G2 equation is written.  The star
     is taken on phi's seven frame monomials, where it is a sign table,
-    and expanded over the base coframe; mu defaults to the symbol.
+    and expanded over the base coframe.
     """
-    phi = g2_frame_form(frame.names)
-    star = frame.expand(hodge_star(phi, frame))
-    return ext_d(frame.expand(phi), cf) - star.scale(mu)
+    star = frame.expand(hodge_star(g2_frame_form(frame.names), frame))
+    return ext_d(phi, cf) - star.scale(MU)
 
 
 def verify_np2(phi, frame, cf, identity="np2"):
@@ -322,7 +323,7 @@ def verify_np2(phi, frame, cf, identity="np2"):
     if canonical_g2_form(frame) != phi:
         return _report(identity, ["phi is not the canonical G2 form of the frame"])
     try:
-        mu = _check_claim(extract_constraints(np2_residual(frame, cf)), {})
+        mu = _check_claim(extract_constraints(np2_residual(phi, frame, cf)), {})
     except ClaimFails:
         return _report(identity, ["conflicting ratios"])
     return _report(identity, ["mu is zero"] if mu.is_zero() else [], mu=mu)
@@ -513,7 +514,8 @@ def _family_parts(which):
     once per family; forms are immutable, so callers share them."""
     family = AnsatzFamily(which)
     cf = family.coframe()
-    return dt_split(np2_residual(family.frame(cf), cf), cf)
+    frame = family.frame(cf)
+    return dt_split(np2_residual(canonical_g2_form(frame), frame, cf), cf)
 
 
 def nhf_residual(family):
