@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -210,6 +211,10 @@ def _cmd_sweep(cfg):
         sys.stderr.write("space %r has no parametric family\n" % space)
         return 2
     for name in ("lambda", "a", "b"):
+        for end in ("min", "max"):
+            if not math.isfinite(cfg["%s-%s" % (name, end)]):
+                sys.stderr.write("--%s-%s must be finite\n" % (name, end))
+                return 2
         if not cfg[name + "-min"] <= cfg[name + "-max"]:
             sys.stderr.write("empty box: --%s-min exceeds --%s-max\n" % (name, name))
             return 2
@@ -293,6 +298,9 @@ def resolve_config(args, parser):
                 file_cfg = json.load(fh)
         except (OSError, ValueError) as exc:
             raise SystemExit("bad config file: %s" % exc)
+        if not isinstance(file_cfg, dict):
+            raise SystemExit("bad config file: expected a JSON object, got %s"
+                             % type(file_cfg).__name__)
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise SystemExit("unknown config keys: %s" % ", ".join(sorted(unknown)))

@@ -1,11 +1,13 @@
 """so(5) as 2-forms on R^5: the principal so(3), its 7-dimensional
 complement, trace pairings, the invariant 3-form, the order-3 rotation
-rho acting by a frame expansion, and the pullback of the Maurer-Cartan
-form along the cohomogeneity-one geodesic.
+rho, and the pullback of the Maurer-Cartan form along the
+cohomogeneity-one geodesic R(t).
 
 so(5) = Lambda^2(R^5): E_ij = x_i ^ x_j is the skew matrix with +1 at
 (i, j) and -1 at (j, i), so skewness holds by construction and sums,
-scalings and equality are those of `Form`.
+scalings and equality are those of `Form`.  Conjugation by an
+orthogonal matrix is a frame expansion, R E_ij R^T = R e_i ^ R e_j, so
+both ad rho and the pullback by R(t) expand in a frame of R^5.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalars import TrigScalar, TRIG_ZERO, POLY_ZERO, alg
+from .scalars import TrigScalar, POLY_ZERO, alg
 from .exterior import Form, OrthoFrame, _add_term
 
 _INV_SQRT5 = alg(0, 0, Fraction(1, 5))        # 1/sqrt5
@@ -52,11 +54,15 @@ def bracket(x, y):
     return Form(R5_GENS, 2, out)
 
 
+def _dot(x, y):
+    """sum_m x_m y_m over the E_ij coefficients, as a ParamPoly."""
+    return sum((c * y.terms[m] for m, c in x.terms.items() if m in y.terms),
+               POLY_ZERO)
+
+
 def trace_pairing(x, y):
     """tr(xy) = -2 sum_m x_m y_m; symmetric, negative definite on so(5)."""
-    dot = sum((c * y.terms[m] for m, c in x.terms.items() if m in y.terms),
-              POLY_ZERO)
-    return (dot * -2).const_value().const_value()
+    return (_dot(x, y) * -2).const_value().const_value()
 
 
 def epsilon_basis():
@@ -104,19 +110,6 @@ def invariant_three_form():
     lead = terms[(0, 1, 6)]
     inv = lead.inverse()
     return Form(GAMMA_GENS, 3, {m: c * inv for m, c in terms.items()})
-
-
-def rotation_curve_entries():
-    """R(t) as a 5x5 TrigScalar matrix (lower block a permutation)."""
-    c, s = TrigScalar.cos(1), TrigScalar.sin(1)
-    one, zero = TrigScalar.const(1), TRIG_ZERO
-    return (
-        (c, s, zero, zero, zero),
-        (-s, c, zero, zero, zero),
-        (zero, zero, zero, one, zero),
-        (zero, zero, zero, zero, one),
-        (zero, zero, one, zero, zero),
-    )
 
 
 @functools.cache
@@ -173,57 +166,34 @@ def rho_action_check():
 B7_GENS = ("p1", "p2", "p3", "n1", "n2", "n3", "dt")
 
 
-def maurer_cartan_matrix():
-    """The so(4) Maurer-Cartan matrix as a 5x5 array of one-forms."""
-    p = [Form.generator(B7_GENS, "p%d" % k, 2) for k in (1, 2, 3)]
-    n = [Form.generator(B7_GENS, "n%d" % k, 2) for k in (1, 2, 3)]
-    z = Form.zero(B7_GENS, 1)
-    return [
-        [z, z, z, z, z],
-        [z, z, n[2], n[1], n[0]],
-        [z, -n[2], z, -p[0], p[1]],
-        [z, -n[1], p[0], z, -p[2]],
-        [z, -n[0], -p[1], p[2], z],
-    ]
-
-
 def pullback_frame():
-    """Pull the Maurer-Cartan form back along the geodesic frame.
+    """Pull the Maurer-Cartan form back along the geodesic R(t).
 
     Returns the seven 1-forms Y_i (pullbacks of 2 g*_i) over the
-    (p, n, dt) coframe, extracted by trace pairing against the gammas:
-    Y_g = sum_{r<s} g_rs (pulled[r][s] - pulled[s][r]).
-    The conjugated matrix is kept at half the scale of the input, the
-    normalization under which Y_7 = 2 dt and the 2x2 block pattern
-    (Y_1, Y_2) = [[2L, L cos t], [0, 2 sin t]] (p_1, n_1) holds.
+    (p, n, dt) coframe.  The so(4) Maurer-Cartan form, at half scale,
+    gives each generator h of the (p, n) coframe one so(5) element; its
+    conjugate R(t)^T E_ij R(t) = u_i ^ u_j, u_i the rows of R(t), is its
+    expansion in the frame of those rows.  With dt E_12 added, Y_g is
+    sum_h 2 <g, pulled_h> h.  At this scale Y_7 = 2 dt and the 2x2
+    block pattern (Y_1, Y_2) = [[2L, L cos t], [0, 2 sin t]] (p_1, n_1)
+    holds.
     """
-    half = Fraction(1, 2)
-    mc = [[f.scale(half) for f in row] for row in maurer_cartan_matrix()]
-    r = rotation_curve_entries()
+    c, s = TrigScalar.cos(1), TrigScalar.sin(1)
+    x = [Form.generator(R5_GENS, g) for g in R5_GENS]
+    rows = OrthoFrame(R5_GENS, (
+        x[0].scale(c) + x[1].scale(s), x[1].scale(c) - x[0].scale(s),
+        x[3], x[4], x[2],
+    ))
+    pulled = {
+        h: rows.expand(E(i, j).scale(sign))
+        for h, sign, (i, j) in (
+            ("n3", 1, (2, 3)), ("n2", 1, (2, 4)), ("n1", 1, (2, 5)),
+            ("p1", -1, (3, 4)), ("p2", 1, (3, 5)), ("p3", -1, (4, 5)),
+        )
+    }
+    pulled["dt"] = E(1, 2)
     z = Form.zero(B7_GENS, 1)
-    # r^T * mc
-    tmp = [
-        [
-            sum((mc[k][j].scale(r[k][i]) for k in range(5)), z)
-            for j in range(5)
-        ]
-        for i in range(5)
+    return [
+        sum((Form.generator(B7_GENS, h, _dot(g, p) * 2) for h, p in pulled.items()), z)
+        for g in gamma_basis()
     ]
-    # ... * r, plus the dt E_12 block
-    pulled = [
-        [
-            sum((tmp[i][k].scale(r[k][j]) for k in range(5)), z)
-            for j in range(5)
-        ]
-        for i in range(5)
-    ]
-    dt = Form.generator(B7_GENS, "dt")
-    pulled[0][1] = pulled[0][1] + dt
-    pulled[1][0] = pulled[1][0] - dt
-    out = []
-    for g in gamma_basis():
-        acc = z
-        for (r_i, s_i), c in g.terms.items():
-            acc = acc + (pulled[r_i][s_i] - pulled[s_i][r_i]).scale(c)
-        out.append(acc)
-    return out

@@ -49,9 +49,6 @@ class QuatForm:
     def is_zero(self):
         return all(f.is_zero() for f in self.components)
 
-    def is_vector_valued(self):
-        return self.components[0].is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, QuatForm):
             return NotImplemented

@@ -64,15 +64,6 @@ class AlgebraicScalar:
     def is_zero(self):
         return self._v == _ZERO_V
 
-    def is_rational(self):
-        v = self._v
-        return not (v[1] or v[2] or v[3])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not rational: %s" % self)
-        return Fraction(self._v[0], self._v[4])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = AlgebraicScalar.coerce(other)

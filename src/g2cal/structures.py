@@ -177,6 +177,12 @@ def verify_connection():
     if not bianchi.is_zero():
         failures.append("d(Phi) + 2 Im(phi^Phi) != 0")
 
+    # -Re(Phi ^ Phi), the sum of the squared curvature components, is
+    # -3/2 times the base volume 64 s1 s2 s3 dt^e1^e2^e3
+    vol = cf.mono(("dt", "e1", "e2", "e3"), s1 * s2 * s3 * 64)
+    if -quat_wedge(Phi, Phi).real_part() != vol.scale(Fraction(-3, 2)):
+        failures.append("-Re(Phi^Phi) != -3/2 vol")
+
     return _report("connection", failures)
 
 
@@ -281,12 +287,6 @@ def g2_frame_form(names):
 def canonical_g2_form(frame):
     """The canonical G2 3-form of a frame, over the base coframe."""
     return frame.expand(g2_frame_form(frame.names))
-
-
-def chi_four_form(cf):
-    """-Re[Phi ^ Phi] = sum of the squares of the curvature components."""
-    Phi = curvature_form(cf)
-    return -quat_wedge(Phi, Phi).real_part()
 
 
 def build_b7():

@@ -256,8 +256,12 @@ def test_sweep_command(capsys):
     (("--tolerance", "0"), "--tolerance"),
     (("--tolerance", "-0.001"), "--tolerance"),
     (("--tolerance", "nan"), "--tolerance"),
+    (("--a-max", "inf"), "--a-max must be finite"),
+    (("--lambda-min", "nan"), "--lambda-min must be finite"),
+    (("--b-min=-inf",), "--b-min must be finite"),
 ], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples",
-        "tolerance-zero", "tolerance-negative", "tolerance-nan"])
+        "tolerance-zero", "tolerance-negative", "tolerance-nan", "a-max-inf",
+        "lambda-min-nan", "b-min-minus-inf"])
 def test_sweep_rejects_bad_inputs(capsys, flags, message):
     code, out, err = run(capsys, "sweep", "--space", "b7", *flags)
     assert code == 2
@@ -331,6 +335,8 @@ def test_bad_config_keys(capsys, tmp_path):
         ("sweep", {"resolution": "x"}, "resolution"),
         ("sweep", {"t-samples": 2.5}, "t-samples"),
         ("verify", {"format": "yaml"}, "format"),
+        ("verify", [1], "bad config file"),
+        ("verify", 5, "bad config file"),
     ):
         cfg.write_text(json.dumps(body))
         code, out, err = run(capsys, command, str(cfg), "--space", "s7-squashed")

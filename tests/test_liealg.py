@@ -13,7 +13,6 @@ from g2cal.liealg import (
     gamma_basis,
     invariant_three_form,
     rho_action_check,
-    maurer_cartan_matrix,
     pullback_frame,
     ad_rho,
     B7_GENS,

@@ -15,7 +15,6 @@ def test_quat_wedge_components():
     # i * j = k: the product lands in the third imaginary slot
     assert w.components[3] == e1.wedge(e2)
     assert w.components[0].is_zero() and w.components[1].is_zero()
-    assert w.is_vector_valued()
 
 
 def test_quat_wedge_self_doubles_cross_terms():

@@ -59,9 +59,8 @@ def test_field_float_consistency(x, y):
 
 
 def test_rationality_predicates():
-    assert alg(Fraction(3, 7)).is_rational()
-    assert alg(Fraction(3, 7)).rational_value() == Fraction(3, 7)
-    assert not SQRT5.is_rational()
+    assert alg(Fraction(3, 7)).q == (Fraction(3, 7), 0, 0, 0)
+    assert SQRT5.q[1:] != (0, 0, 0)
 
 
 def test_phase_shift_sum():
@@ -205,12 +204,8 @@ def test_algebraic_scalar_matches_fraction_reference(a, b):
         assert _ref_mul(x.inverse().q, a) == (1, 0, 0, 0)
         _assert_canonical(x.inverse())
     if not any(a[1:]):
-        assert x.is_rational() and x.rational_value() == a[0]
+        # x.q == a above: a rational value, equal to its Fraction
         assert x == a[0]
-    else:
-        assert not x.is_rational()
-        with pytest.raises(ValueError):
-            x.rational_value()
 
 
 @given(_ref_elems, _ref_elems, hs.integers(min_value=1, max_value=40))

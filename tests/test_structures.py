@@ -18,6 +18,7 @@ from g2cal.scalars import (
 )
 from g2cal import structures
 from g2cal.exterior import Form, OrthoFrame, ext_d, orbit_d, dt_split, d_squared_check
+from g2cal.quaternionic import quat_wedge
 from g2cal.structures import (
     LAMBDA_CANON,
     MU_CANON,
@@ -34,7 +35,7 @@ from g2cal.structures import (
     build_b7,
     canonical_g2_form,
     g2_frame_form,
-    chi_four_form,
+    curvature_form,
     verify_np2,
     np2_residual,
     gram_blocks_report,
@@ -110,7 +111,16 @@ def test_chi_is_minus_three_halves_base_volume():
     cf = s7_coframe()
     s1, s2, s3 = s_k(1), s_k(2), s_k(3)
     vol4 = cf.mono(("dt", "e1", "e2", "e3"), s1 * s2 * s3 * 64)
-    assert chi_four_form(cf) == vol4.scale(Fraction(-3, 2))
+    Phi = curvature_form(cf)
+    assert -quat_wedge(Phi, Phi).real_part() == vol4.scale(Fraction(-3, 2))
+
+
+def test_connection_report_checks_chi(monkeypatch):
+    curvature = curvature_form
+    monkeypatch.setattr(structures, "curvature_form", lambda cf: curvature(cf).scale(2))
+    rep = verify_connection()
+    assert rep.status == "fails"
+    assert "-Re(Phi^Phi) != -3/2 vol" in rep.residual.split("; ")
 
 
 def test_np2_squashed_sphere():
