@@ -55,7 +55,7 @@ def _run_s7_canonical():
     fam = st.AnsatzFamily(st.AnsatzFamily.S7_STYLE)
     yield st.verify_solution_set(
         fam, "both", [st.s7_canonical_claim()], "s7-canonical-systems"
-    )[0]
+    )
 
 
 def _run_b7():
@@ -66,8 +66,8 @@ def _run_b7():
         return
     yield st.verify_np2(phi, frame, cf, "np2-b7")
     fam = st.AnsatzFamily(st.AnsatzFamily.B7_STYLE)
-    yield st.verify_solution_set(fam, "both", st.joint_system_claims(), "joint-system-triples")[0]
-    yield st.verify_solution_set(fam, "nhf", st.locus_claims(), "invariant-family-locus")[0]
+    yield st.verify_solution_set(fam, "both", st.joint_system_claims(), "joint-system-triples")
+    yield st.verify_solution_set(fam, "nhf", st.locus_claims(), "invariant-family-locus")
 
 
 SPACE_RUNNERS = {

@@ -51,12 +51,8 @@ def _merge_sorted(idx, extra):
 
 
 def _add_term(terms, idx, coeff):
-    """terms[idx] += coeff, dropping the entry when it cancels."""
-    cur = terms.get(idx, POLY_ZERO) + coeff
-    if cur.is_zero():
-        terms.pop(idx, None)
-    else:
-        terms[idx] = cur
+    """terms[idx] += coeff; `Form` drops the entries that cancel."""
+    terms[idx] = terms[idx] + coeff if idx in terms else coeff
 
 
 class Form:
@@ -130,9 +126,6 @@ class Form:
         if self.is_zero() and other.is_zero():
             return True
         return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.gens, self.degree, tuple(sorted(self.terms.items()))))
 
     # -- ring operations ---------------------------------------------------
 

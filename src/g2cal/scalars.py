@@ -446,18 +446,11 @@ class ParamPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(("poly", tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
     def __add__(self, other):
         other = ParamPoly.coerce(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            cur = out.get(exp, TRIG_ZERO) + coeff
-            if cur.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = cur
+            out[exp] = out[exp] + coeff if exp in out else coeff
         return ParamPoly(out)
 
     __radd__ = __add__
@@ -477,11 +470,8 @@ class ParamPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                cur = out.get(exp, TRIG_ZERO) + c1 * c2
-                if cur.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = cur
+                c = c1 * c2
+                out[exp] = out[exp] + c if exp in out else c
         return ParamPoly(out)
 
     __rmul__ = __mul__
@@ -510,11 +500,7 @@ class ParamPoly:
                     factor = factor * TrigScalar.const(val ** e)
                     new_exp[i] = 0
             key = tuple(new_exp)
-            cur = out.get(key, TRIG_ZERO) + factor
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
+            out[key] = out[key] + factor if key in out else factor
         return ParamPoly(out)
 
     def degree_in(self, name):

@@ -624,56 +624,45 @@ def constraints_contain(constraints, target, bindings=None, max_shift=2):
 
 
 def _check_claim(constraints, claim):
-    """Raise ClaimFails unless the binding zeroes every constraint.
+    """Raise ClaimFails unless the claim zeroes every constraint; return mu.
 
-    claim maps a subset of {lam, a, b} to exact values, plus either
-    "mu" (exact value), or "mu_num"/"mu_den" (polynomials in lam for a
-    rational dependence), or no mu entry (solved from the first
-    constraint that is linear in mu with a nonzero coefficient).
+    claim maps some of lam, a, b and mu to exact values.  Each constraint
+    is bound when it is reached, and the first survivor ends the check.
+    A claim without mu gets mu = num/den from the first bound constraint
+    q0 + mu q1 with q1 != 0: every later constraint must satisfy
+    q0 den + q1 num = 0, and every earlier one q0 = 0.  The constraints
+    have constant coefficients, so this is exact even when den depends
+    on lam.  Returns the claimed mu, else num/den when both are constant,
+    else None.
     """
-    known = {k: claim[k] for k in ("lam", "a", "b") if k in claim}
-    bound = [p.bind(known) for p in constraints]
-
-    if "mu" in claim:
-        num, den = ParamPoly.const(claim["mu"]), ParamPoly.const(1)
-    elif "mu_num" in claim:
-        num, den = claim["mu_num"], claim["mu_den"]
-    else:
-        num = None
-        for q in bound:
-            if q.degree_in("mu") == 1:
-                q1 = q.coefficient_of("mu", 1)
-                if q1.is_const() and not q1.is_zero():
-                    num, den = -q.coefficient_of("mu", 0), q1
-                    break
-        if num is None:
-            raise ClaimFails("no constraint determines mu")
-
-    solved_mu = None
-    if den.is_const() and num.is_const():
-        solved_mu = num.const_value().const_value() / den.const_value().const_value()
-
-    for p, q in zip(constraints, bound):
-        d = q.degree_in("mu")
-        if d > 1:
+    num = den = None
+    for p in constraints:
+        q = p.bind(claim)
+        if q.degree_in("mu") > 1:
             raise ClaimFails("constraint not linear in mu: %s" % p.render())
         q0 = q.coefficient_of("mu", 0)
         q1 = q.coefficient_of("mu", 1)
-        if not (q0 * den + q1 * num).is_zero():
+        if num is None and not q1.is_zero():
+            num, den = -q0, q1
+        elif not (q0 if num is None else q0 * den + q1 * num).is_zero():
             raise ClaimFails("constraint survives: %s" % p.render())
-    return solved_mu
+    if "mu" in claim:
+        return claim["mu"]
+    if num is None:
+        raise ClaimFails("no constraint determines mu")
+    if num.is_const() and den.is_const():
+        return num.const_value().const_value() / den.const_value().const_value()
+    return None
 
 
 def prop_5_1_claims():
-    """The two published solution branches of the round-family system."""
-    p = ParamPoly.const
-    mu_b1_num = -(LAM * LAM + p(4))
-    mu_b1_den = LAM * p(2)
+    """The two published solution branches of the round-family system, as
+    the (a, b) of each; lam is free and mu is solved as a function of it."""
     return [
-        {"a": ALG_ZERO, "b": alg(-1), "mu_num": p(-2), "mu_den": LAM},
-        {"a": ALG_ZERO, "b": ALG_ZERO, "mu_num": p(-2), "mu_den": LAM},
-        {"a": alg(2), "b": alg(1), "mu_num": mu_b1_num, "mu_den": mu_b1_den},
-        {"a": alg(-2), "b": alg(1), "mu_num": mu_b1_num, "mu_den": mu_b1_den},
+        {"a": ALG_ZERO, "b": alg(-1)},
+        {"a": ALG_ZERO, "b": ALG_ZERO},
+        {"a": alg(2), "b": alg(1)},
+        {"a": alg(-2), "b": alg(1)},
     ]
 
 
@@ -717,12 +706,11 @@ def verify_solution_set(family, system, claims, identity="solution-set"):
     """
     constraints = system_constraints(family, system)
 
-    mus = []
     for claim in claims:
         try:
-            mus.append(_check_claim(constraints, claim))
+            _check_claim(constraints, claim)
         except ClaimFails as exc:
-            return VerificationReport(identity, "fails", residual=str(exc)), mus
+            return VerificationReport(identity, "fails", residual=str(exc))
 
     # rejection pass: shifting any one fixed parameter must break each claim
     shift = alg(Fraction(1, 7))
@@ -737,9 +725,8 @@ def verify_solution_set(family, system, claims, identity="solution-set"):
                 _check_claim(constraints, perturbed)
             except ClaimFails:
                 continue
-            report = VerificationReport(
+            return VerificationReport(
                 identity, "fails", residual="perturbed claim also passes"
             )
-            return report, mus
 
-    return VerificationReport(identity, "holds"), mus
+    return VerificationReport(identity, "holds")

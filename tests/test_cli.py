@@ -346,8 +346,9 @@ def test_bad_config_keys(capsys, tmp_path):
 
 
 def test_constraints_match_golden(capsys):
-    # _check_claim solves mu from the first constraint linear in mu, so
-    # the order of the constraints is part of what is pinned here
+    # _check_claim reads mu off the first constraint with a mu term and
+    # names the first constraint that survives, so the order of the
+    # constraints is part of what is pinned here
     golden = json.loads((Path(__file__).parent / "golden" / "constraints.json").read_text())
     assert sorted(golden) == ["b7", "s7-canonical", "s7-squashed"]
     for space, want in golden.items():

@@ -45,6 +45,7 @@ from g2cal.structures import (
     extract_constraints,
     normalize_constraint,
     constraints_contain,
+    system_constraints,
     verify_solution_set,
     prop_5_1_claims,
     joint_system_claims,
@@ -256,19 +257,57 @@ def test_zero_residual_gives_no_constraints():
 
 
 def test_round_family_solution_set():
-    rep, mus = verify_solution_set(
+    rep = verify_solution_set(
         AnsatzFamily("s7"), "nhf", prop_5_1_claims(), "round-family"
     )
     assert rep.status == "holds"
 
 
-def test_round_family_rejects_wrong_claim():
-    rep, _ = verify_solution_set(
-        AnsatzFamily("s7"), "nhf",
-        [{"a": alg(1), "b": alg(1), "mu": alg(-1)}],
-    )
+# Prop 5.1's published mu = N/D on each (a, b) branch
+_PROP_5_1_MU = [
+    (P(-2), LAM),
+    (P(-2), LAM),
+    (-(LAM * LAM + P(4)), LAM * P(2)),
+    (-(LAM * LAM + P(4)), LAM * P(2)),
+]
+
+
+def test_prop_5_1_published_mu_formulas():
+    cons = system_constraints(AnsatzFamily("s7"), "nhf")
+    for claim, (num, den) in zip(prop_5_1_claims(), _PROP_5_1_MU):
+        bound = [p.bind(claim) for p in cons]
+        assert all(q.degree_in("mu") <= 1 for q in bound)
+
+        def zeroes_all(n, d):
+            return all(
+                (q.coefficient_of("mu", 0) * d + q.coefficient_of("mu", 1) * n).is_zero()
+                for q in bound
+            )
+
+        assert zeroes_all(num, den), claim
+        assert not zeroes_all(P(-3), LAM), claim
+        # mu depends on lam here, so the checker solves it but returns None
+        assert structures._check_claim(cons, claim) is None
+
+
+def test_round_family_rejects_wrong_claim(monkeypatch):
+    claim = {"a": alg(1), "b": alg(1), "mu": alg(-1)}
+    cons = system_constraints(AnsatzFamily("s7"), "nhf")
+    first_survivor = next(i for i, p in enumerate(cons) if not p.bind(claim).is_zero())
+    assert first_survivor < len(cons) - 1
+    bind = ParamPoly.bind
+    calls = []
+
+    def counted(self, bindings):
+        calls.append(self)
+        return bind(self, bindings)
+
+    monkeypatch.setattr(ParamPoly, "bind", counted)
+    rep = verify_solution_set(AnsatzFamily("s7"), "nhf", [claim])
     assert rep.status == "fails"
-    assert rep.residual.startswith("constraint survives: ")
+    assert rep.residual == "constraint survives: " + cons[first_survivor].render()
+    # each constraint up to the first survivor is bound once, none after it
+    assert calls == cons[:first_survivor + 1]
 
 
 @pytest.mark.parametrize("which", ["s7", "b7"])
@@ -311,19 +350,21 @@ def test_dt_split_inverts_dt_wedge():
 
 
 def test_joint_system_triples():
-    rep, mus = verify_solution_set(
-        AnsatzFamily("b7"), "both", joint_system_claims(), "joint"
-    )
+    fam = AnsatzFamily("b7")
+    rep = verify_solution_set(fam, "both", joint_system_claims(), "joint")
     assert rep.status == "holds"
+    cons = system_constraints(fam, "both")
+    mus = [structures._check_claim(cons, c) for c in joint_system_claims()]
     assert mus[0] == MU_CANON
     assert mus[1] == -MU_CANON
 
 
 def test_invariant_family_locus():
-    rep, mus = verify_solution_set(
-        AnsatzFamily("b7"), "nhf", locus_claims(), "locus"
-    )
+    fam = AnsatzFamily("b7")
+    rep = verify_solution_set(fam, "nhf", locus_claims(), "locus")
     assert rep.status == "holds"
+    cons = system_constraints(fam, "nhf")
+    mus = [structures._check_claim(cons, c) for c in locus_claims()]
     # mu is determined by lam in every case
     assert all(m is not None for m in mus)
     # the canonical point on the locus recovers the structure constant
@@ -339,10 +380,18 @@ def test_locus_consistency_at_a_half():
 
 
 def test_canonical_structure_solves_both_systems():
-    rep, _ = verify_solution_set(
+    rep = verify_solution_set(
         AnsatzFamily("s7"), "both", [s7_canonical_claim()], "s7-both"
     )
     assert rep.status == "holds"
+
+
+def test_canonical_claim_mu_claimed_or_solved():
+    cons = system_constraints(AnsatzFamily("s7"), "both")
+    claim = s7_canonical_claim()
+    assert structures._check_claim(cons, claim) == MU_CANON
+    del claim["mu"]
+    assert structures._check_claim(cons, claim) == MU_CANON
 
 
 def test_generic_point_leaves_nonzero_residual():
@@ -355,7 +404,7 @@ def test_generic_point_leaves_nonzero_residual():
 def test_rejection_pass_shifts_every_fixed_parameter():
     # lam is free on the a = b = 0 branch of Prop 5.1 (mu = -2/lam), so a
     # claim that fixes lam = 1 there survives the shift of lam
-    rep, _ = verify_solution_set(
+    rep = verify_solution_set(
         AnsatzFamily("s7"), "nhf", [{"lam": alg(1), "a": ALG_ZERO, "b": ALG_ZERO}]
     )
     assert rep.status == "fails"
