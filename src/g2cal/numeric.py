@@ -4,8 +4,9 @@ Reimplements the two ansatz families and their hypersurface residuals
 directly over float/complex coefficients (no exact-engine code paths),
 for cross-checking exact results and for the numeric parameter sweep.
 Coefficients may be numpy arrays, so a whole (lam, a, b) grid is
-evaluated at once per time sample, and a small batch of points at once
-for all its time samples.
+evaluated at once per time sample.  The sweep polishes its best grid
+minima by Gauss-Newton in (lam, a, b, mu), evaluating a point and its
+Jacobian neighbours at once for all their time samples.
 """
 
 from __future__ import annotations
@@ -197,38 +198,6 @@ def _systems(system):
     return ("nhf", "flow") if system == "both" else (system,)
 
 
-# At most this many point-samples are evaluated in one pass.  A small
-# batch (a polish stencil, a point) stacks its t samples on a leading axis
-# and pays the per-monomial Python and numpy overhead once; a grid mesh
-# keeps one sample per pass, where its arrays stay in cache.
-_PASS_SIZE = 1 << 14
-
-
-def _passes(which, systems, lam, a, b, t_samples):
-    """Yield (parts, stack) per pass over the t samples.
-
-    parts are the (r0, r1) of each system.  A pass of several samples puts
-    t on a leading axis, and stack is the shape (samples, *batch) its
-    coefficients broadcast to; a one-sample pass has no such axis and
-    stack None, so it reduces nothing.
-    """
-    shape = np.broadcast_shapes(np.shape(lam), np.shape(a), np.shape(b))
-    per_pass = max(1, _PASS_SIZE // max(1, math.prod(shape)))
-    t_samples = list(t_samples)
-    for i in range(0, len(t_samples), per_pass):
-        ts = t_samples[i : i + per_pass]
-        if len(ts) == 1:
-            yield _system_parts(which, systems, lam, a, b, ts[0]), None
-        else:
-            t = np.reshape(ts, (len(ts),) + (1,) * len(shape))
-            yield _system_parts(which, systems, lam, a, b, t), (len(ts),) + shape
-
-
-def _fold(x, stack, reduce):
-    """x itself for a one-sample pass, else x reduced over the sample axis."""
-    return x if stack is None else reduce(np.broadcast_to(x, stack), axis=0)
-
-
 def _abs_max(parts, mu):
     worst = 0.0
     for r0, r1 in parts:
@@ -240,8 +209,9 @@ def _abs_max(parts, mu):
 def residual_max(which, system, lam, a, b, mu, t_samples):
     """Max |residual coefficient| over systems, monomials and samples."""
     worst = 0.0
-    for parts, stack in _passes(which, _systems(system), lam, a, b, t_samples):
-        worst = np.maximum(worst, _fold(_abs_max(parts, mu), stack, np.max))
+    for t in t_samples:
+        parts = _system_parts(which, _systems(system), lam, a, b, t)
+        worst = np.maximum(worst, _abs_max(parts, mu))
     return worst
 
 
@@ -249,26 +219,18 @@ def best_mu_residual(which, system, lam, a, b, t_samples):
     """Least-squares mu over all samples, and the residual max with it."""
     num = 0.0
     den = 0.0
-    passes = list(_passes(which, _systems(system), lam, a, b, t_samples))
-    for parts, stack in passes:
-        # a one-sample pass adds straight into the running sums; a stacked
-        # pass sums its own terms, then folds them over its samples
-        n, d = (num, den) if stack is None else (0.0, 0.0)
+    samples = [_system_parts(which, _systems(system), lam, a, b, t) for t in t_samples]
+    for parts in samples:
         for r0, r1 in parts:
             for m in set(r0) | set(r1):
                 c0 = r0.get(m, 0.0)
                 c1 = r1.get(m, 0.0)
-                n = n + c0 * c1
-                d = d + c1 * c1
-        if stack is None:
-            num, den = n, d
-        else:
-            num = num + _fold(n, stack, np.sum)
-            den = den + _fold(d, stack, np.sum)
+                num = num + c0 * c1
+                den = den + c1 * c1
     mu = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
     worst = 0.0
-    for parts, stack in passes:
-        worst = np.maximum(worst, _fold(_abs_max(parts, mu), stack, np.max))
+    for parts in samples:
+        worst = np.maximum(worst, _abs_max(parts, mu))
     return mu, worst
 
 
@@ -289,56 +251,59 @@ def _grid(lo, hi, res):
 _LAM_FLOOR = 1e-3
 
 
+def _residual_rows(which, system, points, t_samples):
+    """Residual coefficients r0 - mu * r1 of k points, one row per point.
+
+    points has the columns (lam, a, b, mu); a row runs over systems,
+    monomials and samples.  One _system_parts call takes the samples on a
+    leading axis.
+    """
+    lam, a, b, mu = np.asarray(points, dtype=float).T
+    t = np.reshape(t_samples, (-1, 1))
+    shape = (t.shape[0], lam.shape[0])
+    rows = []
+    for r0, r1 in _system_parts(which, _systems(system), lam, a, b, t):
+        for m in set(r0) | set(r1):
+            rows.append(np.broadcast_to(r0.get(m, 0.0) - mu * r1.get(m, 0.0), shape))
+    return np.concatenate(rows).T
+
+
+# Gauss-Newton steps per polish, and the forward-difference step of its
+# Jacobian.  Near a zero the polish converges in a few steps; the cap
+# ends those that start far from one.
+_STEPS = 20
+_JAC_STEP = 1e-7
+
+
 def _refine(which, system, point, t_samples, tolerance, bounds):
     """Gauss-Newton polish of a candidate zero; returns (point, mu, res).
 
-    Steps are confined to `bounds` (the sweep box) so the polish cannot
-    drift toward the degenerate lam -> 0 region (|lam| <= _LAM_FLOOR).
-    Each step costs two batched evaluations: the point with its six
-    central-difference neighbours, then every in-box candidate of the
-    halving line search at once.
+    point is (lam, a, b, mu).  The residual coefficients are polynomial in
+    all four, so each step solves the linearised system in the least-squares
+    sense, with a forward-difference Jacobian from one batched evaluation
+    of the point and its four neighbours.  The polish stops below
+    `tolerance`, after _STEPS steps, or before a step that would leave
+    `bounds` (the sweep box) or reach |lam| <= _LAM_FLOOR.  res is
+    max |residual| at the returned point and mu, or inf where the residual
+    is not finite.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    h = 1e-6
-    stencil = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
-    halvings = np.ldexp(1.0, -np.arange(40))
-
-    def f(points):
-        mu, res = best_mu_residual(
-            which, system, points[:, 0], points[:, 1], points[:, 2], t_samples
-        )
-        return np.broadcast_to(mu, res.shape), res
-
-    def probe(p):
-        mus, ress = f(p + stencil)
-        return float(mus[0]), float(ress[0]), (ress[1:4] - ress[4:7]) / (2 * h)
-
-    mu, res, grad = probe(x)
-    for _ in range(60):
-        if res < tolerance:
+    stencil = np.vstack([np.zeros(4), _JAC_STEP * np.eye(4)])
+    for step in range(_STEPS + 1):
+        rows = _residual_rows(which, system, x + stencil, t_samples)
+        r = rows[0]
+        res = float(np.max(np.abs(r))) if np.all(np.isfinite(r)) else math.inf
+        if res < tolerance or step == _STEPS or not np.all(np.isfinite(rows)):
             break
-        norm = np.dot(grad, grad)
-        if norm == 0:
+        jac = (rows[1:] - r).T / _JAC_STEP
+        nxt = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
+        inside = np.all((lo <= nxt[:3]) & (nxt[:3] <= hi)) and abs(nxt[0]) > _LAM_FLOOR
+        if not (inside and np.isfinite(nxt[3])):
             break
-        step = res / norm * grad
-        # backtracking line search on the residual itself: the first
-        # in-box halving that improves is taken
-        cands = x - halvings[:, None] * step
-        inside = (np.abs(cands[:, 0]) > _LAM_FLOOR) & np.all((cands >= lo) & (cands <= hi), axis=1)
-        cands = cands[inside]
-        if not len(cands):
-            break
-        mus, ress = f(cands)
-        better = np.flatnonzero(ress < res)
-        if not better.size:
-            break
-        k = better[0]
-        x, mu, res = cands[k], float(mus[k]), float(ress[k])
-        if res >= tolerance:
-            grad = probe(x)[2]
-    return tuple(float(v) for v in x), mu, res
+        x = nxt
+    return tuple(float(v) for v in x[:3]), float(x[3]), res
 
 
 def numeric_sweep(
@@ -389,26 +354,26 @@ def numeric_sweep(
             )
         k = int(np.argmin(res))
         i, j = np.unravel_index(k, res.shape)
-        minima.append((float(res[i, j]), float(lam), float(avals[i]), float(bvals[j])))
+        minima.append(
+            (float(res[i, j]), float(lam), float(avals[i]), float(bvals[j]), float(mu[i, j]))
+        )
     if not hits and minima:
         minima.sort()
         best = minima[0][0]
         bounds = (lambda_range, a_range, b_range)
         polished = []
-        for res0, lam, av, bv in minima:
+        for res0, *start in minima:
             if res0 > max(100 * best, 1e3 * tolerance):
                 continue
-            point, mu, res = _refine(
-                which, system, (lam, av, bv), t_samples, tolerance, bounds
-            )
+            point, mu, res = _refine(which, system, start, t_samples, tolerance, bounds)
             if res < tolerance:
                 polished.append(
                     {
                         "lam": point[0],
                         "a": point[1],
                         "b": point[2],
-                        "mu": float(mu),
-                        "residual": float(res),
+                        "mu": mu,
+                        "residual": res,
                         "count": 1,
                     }
                 )

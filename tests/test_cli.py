@@ -278,6 +278,14 @@ def test_sweep_polishes_negative_lambda(capsys):
     assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b"), want)) < 1e-6
 
 
+def test_sweep_recovers_s7_canonical_point(capsys):
+    code, out, _ = run(capsys, "sweep", "--space", "s7-canonical", "--format", "json")
+    assert code == 0
+    hit, = json.loads(out)["hits"]
+    want = (2 / math.sqrt(5), 2.0, 1.0, st.MU_CANON.to_float())
+    assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b", "mu"), want)) < 1e-6
+
+
 def test_sweep_s7_default_box_matches_golden(capsys):
     golden = json.loads((Path(__file__).parent / "golden" / "sweep-s7-squashed.json").read_text())
     code, out, _ = run(capsys, "sweep", "--space", "s7-squashed", "--format", "json")

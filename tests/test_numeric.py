@@ -203,8 +203,9 @@ _BATCH = np.random.default_rng(11).uniform(-1.5, 1.5, (3, 40))
     ids=["point", "mesh", "batch7", "batch40"],
 )
 def test_shared_frame_matches_residual_parts(which, lam, a, b):
-    # every case stacks its samples in one pass; the reference takes one
-    # residual_parts call per sample and system
+    # every case takes its samples one at a time and both systems from one
+    # shared frame; the reference takes one residual_parts call per sample
+    # and system
     samples = numeric.default_t_samples()
     mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
     ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
@@ -216,8 +217,8 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
 
 
 def test_grid_mesh_keeps_per_sample_sums():
-    # a 121 x 81 mesh is too large to stack its samples: it takes one per
-    # pass and sums in the reference's order, bit for bit
+    # the sweep's 121 x 81 mesh sums its samples in the reference's order,
+    # bit for bit
     a = np.linspace(-3.0, 3.0, 121)[:, None]
     b = np.linspace(-2.0, 2.0, 81)[None, :]
     samples = numeric.default_t_samples()
@@ -245,22 +246,67 @@ def test_batched_points_match_scalar_calls(which):
 
 
 def test_polish_is_batched_and_hits_merge(monkeypatch):
-    calls = []
-    evaluate = numeric.best_mu_residual
+    rows, refines = [], []
+    evaluate, refine = numeric._residual_rows, numeric._refine
 
-    def counting(*args):
-        calls.append(args)
+    def counting_rows(*args):
+        rows.append(args)
         return evaluate(*args)
 
-    monkeypatch.setattr(numeric, "best_mu_residual", counting)
+    def counting_refine(*args):
+        refines.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(numeric, "_residual_rows", counting_rows)
+    monkeypatch.setattr(numeric, "_refine", counting_refine)
     hits = numeric.numeric_sweep("b7", "both", lambda_range=(0.8, 1.0))
-    assert len(calls) <= 150
+    # each Gauss-Newton step is one batched evaluation of 5 points
+    assert refines
+    assert len(rows) <= 6 * len(refines)
+    assert all(len(args[2]) == 5 for args in rows)
     # the five polished grid minima all reach the joint zero: one hit
     assert len(hits) == 1
     (hit,) = hits
     assert hit["count"] == 5
-    assert hit["residual"] < 1e-6
+    assert hit["residual"] < 1e-10
     assert abs(hit["lam"] - LAMBDA_CANON.to_float()) < 1e-6
     assert abs(hit["a"] - 0.5) < 1e-6
     assert abs(hit["b"]) < 1e-6
     assert abs(hit["mu"] - MU_CANON.to_float()) < 1e-6
+
+
+_S7_CANONICAL_BOX = dict(lambda_range=(0.85, 0.95), a_range=(1.9, 2.1), b_range=(0.9, 1.1))
+
+
+def test_sweep_recovers_certified_s7_canonical_point():
+    # the grid misses (2/sqrt5, 2, 1), which s7-canonical-systems
+    # certifies; the polish must reach it
+    hits = numeric.numeric_sweep("s7", "both", **_S7_CANONICAL_BOX)
+    assert len(hits) == 1
+    (hit,) = hits
+    want = (LAMBDA_CANON.to_float(), 2.0, 1.0)
+    assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b"), want)) < 1e-6
+    assert abs(hit["mu"] - MU_CANON.to_float()) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "which, box",
+    [("b7", dict(lambda_range=(0.8, 1.0))), ("s7", _S7_CANONICAL_BOX)],
+    ids=["b7-bench", "s7-canonical"],
+)
+def test_polished_hit_mu_and_residual_belong_together(which, box):
+    samples = numeric.default_t_samples()
+    hits = numeric.numeric_sweep(which, "both", **box)
+    assert hits
+    for h in hits:
+        res = numeric.residual_max(which, "both", h["lam"], h["a"], h["b"], h["mu"], samples)
+        assert abs(res - h["residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("start", [(math.nan, 0.5, 0.0, -2.7), (0.9, 0.5, 0.0, math.nan)])
+def test_refine_stops_on_non_finite_residual(start):
+    bounds = ((0.8, 1.0), (-3.0, 3.0), (-2.0, 2.0))
+    _, _, res = numeric._refine(
+        "b7", "both", start, numeric.default_t_samples(), 1e-6, bounds
+    )
+    assert not res < 1e-6
