@@ -3,10 +3,14 @@
 Reimplements the two ansatz families and their hypersurface residuals
 directly over float/complex coefficients (no exact-engine code paths),
 for cross-checking exact results and for the numeric parameter sweep.
-Coefficients may be numpy arrays, so a whole (lam, a, b) grid is
-evaluated at once per time sample.  The sweep polishes its best grid
-minima by Gauss-Newton in (lam, a, b, mu), evaluating a point and its
-Jacobian neighbours at once for all their time samples.
+Coefficients may be numpy arrays, so many (lam, a, b) points are
+evaluated at once.  The sweep screens each lambda slice of its grid with
+least-squares sums interpolated from a few Chebyshev nodes in (a, b),
+which is exact because the sums are polynomials of low degree there, and
+takes the residual max directly only where a hit or the slice minimum can
+be.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu),
+evaluating a point and its Jacobian neighbours at once for all their time
+samples.
 """
 
 from __future__ import annotations
@@ -250,6 +254,112 @@ def _grid(lo, hi, res):
 # would read as hits.
 _LAM_FLOOR = 1e-3
 
+# Interpolation nodes per mesh axis.  At fixed (lam, t) each Z_k is affine
+# in a and in b, so every r0 and r1 coefficient has degree <= 3 in each,
+# and the least-squares sums of two of them degree <= 6: 7 nodes per axis
+# give those sums exactly.  _scan_slice checks this on every slice.
+_NODES = 7
+# Sums beyond this take the direct mesh path: near overflow a direct
+# residual may be inf or NaN where its interpolated sums are not.
+_SUM_CEILING = 1e250
+# Relative agreement of interpolated and direct sums, and the rounding
+# allowance of the screen, both on the scale of the slice's node sums.
+_SUM_RTOL = 1e-9
+
+
+def _lsq_sums(which, system, lam, a, b, t_samples):
+    """(num, den, s00, n): least-squares sums at the points (a, b).
+
+    num = sum r0·r1, den = sum r1^2 and s00 = sum r0^2 run over systems,
+    monomials and samples; n counts those coefficients.  One _system_parts
+    call takes the samples on a leading axis.
+    """
+    shape = np.broadcast(a, b).shape
+    t = np.reshape(t_samples, (-1,) + (1,) * len(shape))
+    num = den = s00 = 0.0
+    n = 0
+    for r0, r1 in _system_parts(which, _systems(system), lam, a, b, t):
+        for m in set(r0) | set(r1):
+            c0 = r0.get(m, 0.0)
+            c1 = r1.get(m, 0.0)
+            num = num + c0 * c1
+            den = den + c1 * c1
+            s00 = s00 + c0 * c0
+            n += 1
+    full = (t.shape[0],) + shape
+    sums = (np.broadcast_to(s, full).sum(axis=0) for s in (num, den, s00))
+    return (*sums, n * t.shape[0])
+
+
+def _interpolator(grid):
+    """(nodes, L): nodes on the grid's span, and L with L @ f(nodes) = f(grid).
+
+    L is exact for polynomials of degree < _NODES; a grid of at most
+    _NODES points is its own node set, with L the identity.
+    """
+    if grid.size <= _NODES:
+        return grid, np.eye(grid.size)
+    lo, hi = grid[0], grid[-1]
+    x = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+    u = (2.0 * grid - (lo + hi)) / (hi - lo)
+    vander = np.polynomial.chebyshev.chebvander
+    lt = np.linalg.solve(vander(x, _NODES - 1).T, vander(u, _NODES - 1).T)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, lt.T
+
+
+def _hit(lam, a, b, mu, res):
+    return dict(lam=float(lam), a=float(a), b=float(b), mu=float(mu), residual=float(res), count=1)
+
+
+def _scan_slice(which, system, lam, avals, bvals, t_samples, tolerance):
+    """Grid hits and the max-norm minimum of the lam slice avals x bvals.
+
+    Returns (hits, (res, lam, a, b, mu)), the same as best_mu_residual on
+    the whole mesh with ties taken in row-major order.  The least-squares
+    sums are taken at _NODES x _NODES nodes and interpolated to the mesh,
+    giving ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
+    max^2 <= ss <= n·max^2, so once the ss-argmin's max-norm M0 is known,
+    only points with ss <= n·max(M0, tolerance)^2 can be a hit or the
+    minimum; best_mu_residual evaluates just those (all points when the
+    sums near overflow, see _SUM_CEILING).  Raises ArithmeticError
+    when the sums interpolated at the ss-argmin disagree with a direct
+    evaluation there, since then the degree bound behind _NODES is wrong.
+    """
+    a_nodes, la = _interpolator(avals)
+    b_nodes, lb = _interpolator(bvals)
+    *node_sums, n = _lsq_sums(
+        which, system, lam, a_nodes[:, None], b_nodes[None, :], t_samples
+    )
+    scales = [np.max(np.abs(s)) for s in node_sums]
+    if not max(scales) < _SUM_CEILING:
+        ia, ib = np.indices((avals.size, bvals.size)).reshape(2, -1)
+    else:
+        num, den, s00 = (la @ s @ lb.T for s in node_sums)
+        mu = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        ss = s00 - mu * num
+        i0, j0 = np.unravel_index(np.argmin(ss), ss.shape)
+        direct = _lsq_sums(which, system, lam, avals[i0], bvals[j0], t_samples)
+        for name, s, d, scale in zip(("num", "den", "s00"), (num, den, s00), direct, scales):
+            if not abs(s[i0, j0] - d) <= _SUM_RTOL * max(scale, abs(d)):
+                raise ArithmeticError(
+                    "interpolated %s = %.17g but direct %.17g at lam=%g a=%g b=%g:"
+                    " the mesh sums exceed degree %d"
+                    % (name, s[i0, j0], d, lam, avals[i0], bvals[j0], _NODES - 1)
+                )
+        _, m0 = best_mu_residual(which, system, lam, avals[i0], bvals[j0], t_samples)
+        # rounding of the interpolated ss, to first order in each sum
+        slack = _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
+        ia, ib = np.nonzero(ss <= n * max(m0, tolerance) ** 2 + slack)
+    mu, res = best_mu_residual(which, system, lam, avals[ia], bvals[ib], t_samples)
+    hits = [
+        _hit(lam, avals[i], bvals[j], mu[k], res[k])
+        for k, (i, j) in enumerate(zip(ia, ib))
+        if res[k] < tolerance
+    ]
+    k = int(np.argmin(res))
+    minimum = (float(res[k]), lam, float(avals[ia[k]]), float(bvals[ib[k]]), float(mu[k]))
+    return hits, minimum
+
 
 def _residual_rows(which, system, points, t_samples):
     """Residual coefficients r0 - mu * r1 of k points, one row per point.
@@ -268,11 +378,13 @@ def _residual_rows(which, system, points, t_samples):
     return np.concatenate(rows).T
 
 
-# Gauss-Newton steps per polish, and the forward-difference step of its
-# Jacobian.  Near a zero the polish converges in a few steps; the cap
-# ends those that start far from one.
+# Gauss-Newton steps per polish, the forward-difference step of its
+# Jacobian, and the halvings of a step that leaves the box.  Near a zero
+# the polish converges in a few steps; the cap ends those that start far
+# from one.
 _STEPS = 20
 _JAC_STEP = 1e-7
+_HALVINGS = 8
 
 
 def _refine(which, system, point, t_samples, tolerance, bounds):
@@ -281,11 +393,12 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
     point is (lam, a, b, mu).  The residual coefficients are polynomial in
     all four, so each step solves the linearised system in the least-squares
     sense, with a forward-difference Jacobian from one batched evaluation
-    of the point and its four neighbours.  The polish stops below
-    `tolerance`, after _STEPS steps, or before a step that would leave
-    `bounds` (the sweep box) or reach |lam| <= _LAM_FLOOR.  res is
-    max |residual| at the returned point and mu, or inf where the residual
-    is not finite.
+    of the point and its four neighbours.  A step that would leave
+    `bounds` (the sweep box), change the sign of lam or reach
+    |lam| <= _LAM_FLOOR is halved up to _HALVINGS times.  The polish stops
+    below `tolerance`, after _STEPS steps, or when no halving of a step
+    stays inside.  res is max |residual| at the returned point and mu, or
+    inf where the residual is not finite.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
@@ -298,9 +411,17 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
         if res < tolerance or step == _STEPS or not np.all(np.isfinite(rows)):
             break
         jac = (rows[1:] - r).T / _JAC_STEP
-        nxt = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
-        inside = np.all((lo <= nxt[:3]) & (nxt[:3] <= hi)) and abs(nxt[0]) > _LAM_FLOOR
-        if not (inside and np.isfinite(nxt[3])):
+        delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        for _ in range(_HALVINGS + 1):
+            nxt = x + delta
+            if (
+                np.all((lo <= nxt[:3]) & (nxt[:3] <= hi))
+                and nxt[0] * np.sign(x[0]) > _LAM_FLOOR
+                and np.isfinite(nxt[3])
+            ):
+                break
+            delta = delta / 2
+        else:
             break
         x = nxt
     return tuple(float(v) for v in x[:3]), float(x[3]), res
@@ -325,7 +446,10 @@ def numeric_sweep(
     between grid points are still recovered within a cell.  Polished
     zeros closer than one cell are one hit: the lowest-residual point,
     with count the number of polishes that met it.
-    Lambda slices with |lam| <= _LAM_FLOOR are skipped.
+    Lambda slices with |lam| <= _LAM_FLOOR are skipped.  Each slice is
+    screened by _scan_slice, which evaluates directly only the mesh points
+    that can be a hit or the slice's minimum, so hits and minima are those
+    of best_mu_residual on the whole mesh.
     """
     if t_samples is None:
         t_samples = default_t_samples()
@@ -334,29 +458,14 @@ def numeric_sweep(
     bvals = _grid(*b_range, resolution)
     if lams.size == 0 or avals.size == 0 or bvals.size == 0:
         return []
-    a_mesh = avals[:, None]
-    b_mesh = bvals[None, :]
     hits = []
     minima = []
     for lam in lams[np.abs(lams) > _LAM_FLOOR]:
-        mu, res = best_mu_residual(which, system, float(lam), a_mesh, b_mesh, t_samples)
-        mu = np.broadcast_to(mu, res.shape)
-        for i, j in zip(*np.nonzero(res < tolerance)):
-            hits.append(
-                {
-                    "lam": float(lam),
-                    "a": float(avals[i]),
-                    "b": float(bvals[j]),
-                    "mu": float(mu[i, j]),
-                    "residual": float(res[i, j]),
-                    "count": 1,
-                }
-            )
-        k = int(np.argmin(res))
-        i, j = np.unravel_index(k, res.shape)
-        minima.append(
-            (float(res[i, j]), float(lam), float(avals[i]), float(bvals[j]), float(mu[i, j]))
+        slice_hits, minimum = _scan_slice(
+            which, system, float(lam), avals, bvals, t_samples, tolerance
         )
+        hits.extend(slice_hits)
+        minima.append(minimum)
     if not hits and minima:
         minima.sort()
         best = minima[0][0]
@@ -367,16 +476,7 @@ def numeric_sweep(
                 continue
             point, mu, res = _refine(which, system, start, t_samples, tolerance, bounds)
             if res < tolerance:
-                polished.append(
-                    {
-                        "lam": point[0],
-                        "a": point[1],
-                        "b": point[2],
-                        "mu": mu,
-                        "residual": res,
-                        "count": 1,
-                    }
-                )
+                polished.append(_hit(*point, mu, res))
         hits = _merge_hits(polished, resolution)
     return hits
 

@@ -217,8 +217,9 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
 
 
 def test_grid_mesh_keeps_per_sample_sums():
-    # the sweep's 121 x 81 mesh sums its samples in the reference's order,
-    # bit for bit
+    # best_mu_residual on the default box's 121 x 81 mesh, the direct path
+    # that the sweep's screen must reproduce, sums its samples in the
+    # reference's order, bit for bit
     a = np.linspace(-3.0, 3.0, 121)[:, None]
     b = np.linspace(-2.0, 2.0, 81)[None, :]
     samples = numeric.default_t_samples()
@@ -310,3 +311,125 @@ def test_refine_stops_on_non_finite_residual(start):
         "b7", "both", start, numeric.default_t_samples(), 1e-6, bounds
     )
     assert not res < 1e-6
+
+
+def _direct_slice(which, system, lam, avals, bvals, samples, tolerance):
+    """Hits and minimum of one slice from best_mu_residual on the whole mesh."""
+    mu, res = numeric.best_mu_residual(
+        which, system, lam, avals[:, None], bvals[None, :], samples
+    )
+    mu = np.broadcast_to(mu, res.shape)
+    hits = [
+        {"lam": lam, "a": float(avals[i]), "b": float(bvals[j]),
+         "mu": float(mu[i, j]), "residual": float(res[i, j]), "count": 1}
+        for i, j in zip(*np.nonzero(res < tolerance))
+    ]
+    i, j = np.unravel_index(int(np.argmin(res)), res.shape)
+    return hits, (float(res[i, j]), lam, float(avals[i]), float(bvals[j]), float(mu[i, j]))
+
+
+@pytest.mark.parametrize(
+    "which, system, lams, a_range, b_range, res",
+    [
+        ("s7", "nhf", (0.5, 0.9), (-1.0, 1.0), (-1.5, 0.5), 0.1),
+        ("s7", "nhf", (0.5, 1.0), (0.0, 0.0), (-1.5, 0.5), 0.1),
+        ("s7", "both", (0.85, 0.95), (1.5, 2.5), (0.5, 1.5), 0.05),
+        ("b7", "nhf", (0.9, 1.1), (-1.5, 1.5), (-0.5, 0.5), 0.1),
+        ("b7", "both", (0.8, 1.0), (0.0, 1.0), (-0.5, 0.5), 0.05),
+    ],
+    ids=["s7-nhf", "s7-nhf-a0", "s7-both", "b7-nhf", "b7-both"],
+)
+def test_screened_slices_match_direct_mesh(which, system, lams, a_range, b_range, res):
+    # the screen takes the direct max-norm only where a hit or the slice
+    # minimum can be, yet returns exactly the full mesh's hits and minimum
+    samples = numeric.default_t_samples()
+    avals = numeric._grid(*a_range, res)
+    bvals = numeric._grid(*b_range, res)
+    for lam in numeric._grid(*lams, res):
+        lam = float(lam)
+        got = numeric._scan_slice(which, system, lam, avals, bvals, samples, 1e-6)
+        assert got == _direct_slice(which, system, lam, avals, bvals, samples, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "which, system, lam",
+    [
+        ("s7", "nhf", 1e40),
+        ("s7", "nhf", 8.9e50),
+        ("s7", "nhf", 1e150),
+        ("b7", "both", 4.72e50),
+        ("b7", "both", 1e150),
+    ],
+)
+def test_overflowing_slice_matches_direct_mesh(which, system, lam):
+    # sums near or past overflow take the direct mesh path; at 8.9e50 and
+    # 4.72e50 the node sums are finite but the interpolated ones are not
+    samples = numeric.default_t_samples()
+    avals = numeric._grid(-1.0, 1.0, 0.1)
+    bvals = numeric._grid(-1.5, 0.5, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = numeric._scan_slice(which, system, lam, avals, bvals, samples, 1e-6)
+        want = _direct_slice(which, system, lam, avals, bvals, samples, 1e-6)
+    np.testing.assert_equal(got, want)  # NaN equals NaN here
+
+
+def test_refine_keeps_far_starts_in_the_box_and_the_sign_of_lam():
+    # b7 lam in [-1, 1]: full Gauss-Newton steps from these grid minima
+    # leave the box or cross lam = 0; halved steps do neither
+    samples = numeric.default_t_samples()
+    bounds = ((-1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0))
+    ends = []
+    for lam, a, b in ((0.65, 0.2, 0.0), (-0.1, 1.3, 0.0)):
+        mu, _ = numeric.best_mu_residual("b7", "both", lam, a, b, samples)
+        ends.append(numeric._refine("b7", "both", (lam, a, b, float(mu)), samples, 1e-6, bounds))
+    (point, mu, res), (far_point, _, _) = ends
+    assert res < 1e-10
+    assert max(abs(x - w) for x, w in zip(point, (LAMBDA_CANON.to_float(), 0.5, 0.0))) < 1e-6
+    assert abs(mu - MU_CANON.to_float()) < 1e-6
+    assert -1.0 <= far_point[0] < -numeric._LAM_FLOOR
+
+
+def test_screen_evaluates_few_points_where_zeros_are_lines(monkeypatch):
+    # each s7 nhf slice of the default mesh holds four zeros, (0, 0),
+    # (0, -1) and (+-2, 1); the direct evaluation covers only a few of
+    # its 121 x 81 points
+    sizes = []
+    evaluate = numeric.best_mu_residual
+
+    def counting(which, system, lam, a, b, t_samples):
+        sizes.append(np.size(np.broadcast(a, b)) if np.ndim(a) else 1)
+        return evaluate(which, system, lam, a, b, t_samples)
+
+    monkeypatch.setattr(numeric, "best_mu_residual", counting)
+    hits = numeric.numeric_sweep("s7", "nhf", lambda_range=(0.5, 0.6))
+    assert len(hits) == 3 * 4
+    assert sizes and max(sizes) <= 10
+
+
+def test_wrong_degree_bound_raises(monkeypatch):
+    # 3 nodes per axis are exact only to degree 2 < 6: the gate at each
+    # slice's ss-argmin must refuse the interpolant instead of returning hits
+    monkeypatch.setattr(numeric, "_NODES", 3)
+    with pytest.raises(ArithmeticError, match="degree 2"):
+        numeric.numeric_sweep("s7", "nhf", lambda_range=(0.5, 0.6))
+
+
+def test_b7_nhf_default_hits_lie_on_certified_components():
+    # the three components of the b7 nhf variety; mu·lam = -2 on (ii) and
+    # +2 on (iii)
+    hits = numeric.numeric_sweep("b7", "nhf")
+    assert hits
+    for h in hits:
+        lam, a, b, mu = h["lam"], h["a"], h["b"], h["mu"]
+        on_i = abs(b) < 1e-6 and abs(lam**2 * (4 - a**2) - 3) < 1e-6
+        on_ii = (
+            abs(a) < 1e-6
+            and abs(4 * lam**2 - 3 * (1 + b**2)) < 1e-6
+            and abs(mu * lam + 2) < 1e-6
+        )
+        on_iii = (
+            abs(3 * a**4 * b**2 - 8 * a**2 * b**2 - 4 * a**2 - 32) < 1e-6
+            and abs(16 * lam**2 - 4 - 12 * b**2 + 3 * a**2 * b**2) < 1e-6
+            and abs(mu * lam - 2) < 1e-6
+        )
+        assert on_i or on_ii or on_iii, h
