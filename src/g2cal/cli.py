@@ -205,6 +205,11 @@ def _cmd_constraints(cfg):
     return 0
 
 
+# Most resolution steps along one axis, and most mesh points in one lambda
+# slice, that sweep accepts; the default box has 121 x 81 = 9801 per slice.
+_MAX_MESH = 10**6
+
+
 def _cmd_sweep(cfg):
     space = cfg.get("space")
     if space not in _FAMILY_OF_SPACE:
@@ -224,6 +229,18 @@ def _cmd_sweep(cfg):
             return 2
     if cfg["t-samples"] < 1:
         sys.stderr.write("--t-samples must be at least 1\n")
+        return 2
+    points = {}
+    for name in ("lambda", "a", "b"):
+        steps = (cfg[name + "-max"] - cfg[name + "-min"]) / cfg["resolution"]
+        if not steps < _MAX_MESH:  # inf when the span overflows
+            sys.stderr.write("--%s-min to --%s-max spans over %d --resolution steps\n"
+                             % (name, name, _MAX_MESH))
+            return 2
+        points[name] = round(steps) + 1
+    if points["a"] * points["b"] > _MAX_MESH:
+        sys.stderr.write("a lambda slice of %d mesh points exceeds %d; raise --resolution\n"
+                         % (points["a"] * points["b"], _MAX_MESH))
         return 2
     from . import numeric  # numpy is needed by sweep only
 

@@ -1,16 +1,19 @@
 """Independent floating-point evaluator and grid sweep.
 
 Reimplements the two ansatz families and their hypersurface residuals
-directly over float/complex coefficients (no exact-engine code paths),
-for cross-checking exact results and for the numeric parameter sweep.
-Coefficients may be numpy arrays, so many (lam, a, b) points are
-evaluated at once.  The sweep screens each lambda slice of its grid with
-least-squares sums interpolated from a few Chebyshev nodes in (a, b),
-which is exact because the sums are polynomials of low degree there, and
-takes the residual max directly only where a hit or the slice minimum can
-be.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu),
-evaluating a point and its Jacobian neighbours at once for all their time
-samples.
+over real floats, with no exact-engine code paths, to cross-check exact
+results and drive the parameter sweep.  Each Z_k is a pair (U_k, V_k) of
+real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
+polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
+numpy arrays, so many points are evaluated at once.  _coefficients is the
+one walk of the residual forms: it lists the (r0, r1) coefficient pairs
+by sample, system and monomial, taking max(1, 2**14 // points) t samples
+per evaluation, and the least-squares sums, fitted mu, max-norm and
+Gauss-Newton rows are read off that list.  The sweep screens each lambda
+slice with least-squares sums interpolated from Chebyshev nodes in (a, b),
+exact since they have low degree there, and evaluates directly only where
+a hit or the slice minimum can be.  It polishes the best grid minima by
+Gauss-Newton in (lam, a, b, mu).
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ def _merge(m1, m2):
     return tuple(out), sign
 
 
-def wedge(x, y):
-    out = {}
+def wedge(x, y, out=None):
+    """x ^ y, added into the dict `out` when one is given."""
+    out = {} if out is None else out
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             m, sign = _merge(m1, m2)
@@ -137,57 +141,56 @@ def d_form(f, which):
 
 
 def frame_z(which, lam, a, b, t):
-    """The three complex 1-forms Z_k and their t-derivatives."""
+    """Z_k and dZ_k/dt as pairs (U, V) of real 1-forms, Z = U + i V."""
     zs, dzs = [], []
     for k in (1, 2, 3):
         ck, sk = c_k(k, t), s_k(k, t)
+        e, f = k - 1, 3 + k - 1
         if which == "s7":
             # Z_k = lam f_k + (lam (a c_k + b) + 4 i s_k) e_k
-            zs.append({(3 + k - 1,): lam + 0j, (k - 1,): lam * (a * ck + b) + 4j * sk})
-            dzs.append({(k - 1,): -lam * a * sk + 4j * ck})
+            zs.append(({(f,): lam, (e,): lam * (a * ck + b)}, {(e,): 4 * sk}))
+            dzs.append(({(e,): -lam * a * sk}, {(e,): 4 * ck}))
         else:
             # Z_k = (2 lam + i b) p_k + (2 lam a c_k + 2 i s_k) n_k
-            zs.append({(k - 1,): 2 * lam + 1j * b, (3 + k - 1,): 2 * lam * a * ck + 2j * sk})
-            dzs.append({(3 + k - 1,): -2 * lam * a * sk + 2j * ck})
+            zs.append(({(e,): 2 * lam, (f,): 2 * lam * a * ck}, {(e,): b, (f,): 2 * sk}))
+            dzs.append(({(f,): -2 * lam * a * sk}, {(f,): 2 * ck}))
     return zs, dzs
 
 
-def _re(f):
-    return {m: np.real(c) for m, c in f.items()}
+# Complex forms are (real part, imaginary part) pairs of real forms.
+# _re_wedge gives Re(x ^ y) and _cwedge the pair x ^ y; both add into
+# `out` (a form, or a pair of forms) when it is given.
+def _re_wedge(x, y, out=None):
+    (x_re, x_im), (y_re, y_im) = x, y
+    return wedge(x_im, scale(y_im, -1.0), wedge(x_re, y_re, out))
 
 
-def _im(f):
-    return {m: np.imag(c) for m, c in f.items()}
+def _cwedge(x, y, out=(None, None)):
+    (x_re, x_im), (y_re, y_im) = x, y
+    return _re_wedge(x, y, out[0]), wedge(x_im, y_re, wedge(x_re, y_im, out[1]))
 
 
 def _system_parts(which, systems, lam, a, b, t):
     """[(r0, r1)] per system at t, sharing one frame.
 
     t is one sample, or an array of samples on a leading axis in front of
-    the batch axes of (lam, a, b).  Builds Z_k, xi and Xi once; d/dt Re Xi
+    the batch axes of (lam, a, b).  Builds xi = sum U_k ^ V_k and
+    Xi = Z_1 ^ Z_2 ^ Z_3 once; d/dt Re Xi, which shares Z_1 ^ Z_2 with Xi,
     only when "flow" is asked for.
     """
     zs, dzs = frame_z(which, lam, a, b, t)
-    z1, z2, z3 = zs
-    xi = {}
-    for z in zs:
-        # X_{2k-1} ^ X_{2k} = (i/2) Z_k ^ conj(Z_k)
-        zbar = {m: np.conj(c) for m, c in z.items()}
-        for m, c in wedge(z, zbar).items():
-            v = np.real(0.5j * c)
-            xi[m] = xi[m] + v if m in xi else v
-    big = wedge(wedge(z1, z2), z3)
+    xi = add(*(wedge(u, v) for u, v in zs))
+    z12 = _cwedge(zs[0], zs[1])
+    re_xi, im_xi = _cwedge(z12, zs[2])
     out = []
     for system in systems:
         if system == "nhf":
-            out.append((d_form(_re(big), which), scale(wedge(xi, xi), 0.5)))
+            out.append((d_form(re_xi, which), scale(wedge(xi, xi), 0.5)))
         elif system == "flow":
-            dbig = add(
-                wedge(wedge(dzs[0], z2), z3),
-                wedge(wedge(z1, dzs[1]), z3),
-                wedge(wedge(z1, z2), dzs[2]),
-            )
-            out.append((add(d_form(xi, which), _re(dbig)), _im(big)))
+            # d/dt Xi = d/dt(Z_1 ^ Z_2) ^ Z_3 + Z_1 ^ Z_2 ^ dZ_3/dt
+            dz12 = _cwedge(dzs[0], zs[1], _cwedge(zs[0], dzs[1]))
+            dt_re_xi = _re_wedge(dz12, zs[2], _re_wedge(z12, dzs[2]))
+            out.append((add(d_form(xi, which), dt_re_xi), im_xi))
         else:
             raise ValueError("unknown system %r" % system)
     return out
@@ -198,44 +201,57 @@ def residual_parts(which, system, lam, a, b, t):
     return _system_parts(which, (system,), lam, a, b, t)[0]
 
 
-def _systems(system):
-    return ("nhf", "flow") if system == "both" else (system,)
+# Array elements per _system_parts call of _coefficients: a batch of
+# `points` points takes max(1, _RUN_ELEMENTS // points) samples at a time.
+_RUN_ELEMENTS = 2**14
 
 
-def _abs_max(parts, mu):
-    worst = 0.0
-    for r0, r1 in parts:
-        for m in set(r0) | set(r1):
-            worst = np.maximum(worst, np.abs(r0.get(m, 0.0) - mu * r1.get(m, 0.0)))
-    return worst
+def _coefficients(which, system, lam, a, b, t_samples):
+    """[(c0, c1)]: the coefficients of r0 and r1, by sample, system, monomial.
+
+    system is "nhf", "flow" or "both".  Each entry has the broadcast shape
+    of (lam, a, b), with zeros where one of r0, r1 lacks the monomial; the
+    arrays are views into the results of _system_parts, which takes the
+    samples in runs on a leading axis.  Consumers add over this list in its
+    order, so sums at one point depend neither on the runs nor on the
+    other points of the batch.
+    """
+    shape = np.broadcast(lam, a, b).shape
+    run = max(1, _RUN_ELEMENTS // math.prod(shape))
+    systems = ("nhf", "flow") if system == "both" else (system,)
+    out = []
+    for start in range(0, len(t_samples), run):
+        t = np.reshape(t_samples[start : start + run], (-1,) + (1,) * len(shape))
+        full = t.shape[:1] + shape
+        rows = [
+            (np.broadcast_to(r0.get(m, 0.0), full), np.broadcast_to(r1.get(m, 0.0), full))
+            for r0, r1 in _system_parts(which, systems, lam, a, b, t)
+            for m in set(r0) | set(r1)
+        ]
+        out.extend((c0[k], c1[k]) for k in range(t.shape[0]) for c0, c1 in rows)
+    return out
 
 
-def residual_max(which, system, lam, a, b, mu, t_samples):
-    """Max |residual coefficient| over systems, monomials and samples."""
-    worst = 0.0
-    for t in t_samples:
-        parts = _system_parts(which, _systems(system), lam, a, b, t)
-        worst = np.maximum(worst, _abs_max(parts, mu))
-    return worst
+def _lsq(coefficients, squares=False):
+    """(num, den[, s00]): sums of r0·r1, r1^2 [and r0^2] in list order."""
+    num = sum(c0 * c1 for c0, c1 in coefficients)
+    den = sum(c1 * c1 for _, c1 in coefficients)
+    return (num, den, sum(c0 * c0 for c0, _ in coefficients)) if squares else (num, den)
+
+
+def _fit_mu(num, den):
+    return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+
+
+def _max_norm(coefficients, mu):
+    return functools.reduce(np.maximum, (np.abs(c0 - mu * c1) for c0, c1 in coefficients))
 
 
 def best_mu_residual(which, system, lam, a, b, t_samples):
     """Least-squares mu over all samples, and the residual max with it."""
-    num = 0.0
-    den = 0.0
-    samples = [_system_parts(which, _systems(system), lam, a, b, t) for t in t_samples]
-    for parts in samples:
-        for r0, r1 in parts:
-            for m in set(r0) | set(r1):
-                c0 = r0.get(m, 0.0)
-                c1 = r1.get(m, 0.0)
-                num = num + c0 * c1
-                den = den + c1 * c1
-    mu = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    worst = 0.0
-    for parts in samples:
-        worst = np.maximum(worst, _abs_max(parts, mu))
-    return mu, worst
+    coefficients = _coefficients(which, system, lam, a, b, t_samples)
+    mu = _fit_mu(*_lsq(coefficients))
+    return mu, _max_norm(coefficients, mu)
 
 
 def default_t_samples(count=9):
@@ -265,30 +281,6 @@ _SUM_CEILING = 1e250
 # Relative agreement of interpolated and direct sums, and the rounding
 # allowance of the screen, both on the scale of the slice's node sums.
 _SUM_RTOL = 1e-9
-
-
-def _lsq_sums(which, system, lam, a, b, t_samples):
-    """(num, den, s00, n): least-squares sums at the points (a, b).
-
-    num = sum r0·r1, den = sum r1^2 and s00 = sum r0^2 run over systems,
-    monomials and samples; n counts those coefficients.  One _system_parts
-    call takes the samples on a leading axis.
-    """
-    shape = np.broadcast(a, b).shape
-    t = np.reshape(t_samples, (-1,) + (1,) * len(shape))
-    num = den = s00 = 0.0
-    n = 0
-    for r0, r1 in _system_parts(which, _systems(system), lam, a, b, t):
-        for m in set(r0) | set(r1):
-            c0 = r0.get(m, 0.0)
-            c1 = r1.get(m, 0.0)
-            num = num + c0 * c1
-            den = den + c1 * c1
-            s00 = s00 + c0 * c0
-            n += 1
-    full = (t.shape[0],) + shape
-    sums = (np.broadcast_to(s, full).sum(axis=0) for s in (num, den, s00))
-    return (*sums, n * t.shape[0])
 
 
 def _interpolator(grid):
@@ -327,18 +319,18 @@ def _scan_slice(which, system, lam, avals, bvals, t_samples, tolerance):
     """
     a_nodes, la = _interpolator(avals)
     b_nodes, lb = _interpolator(bvals)
-    *node_sums, n = _lsq_sums(
-        which, system, lam, a_nodes[:, None], b_nodes[None, :], t_samples
-    )
+    nodes = _coefficients(which, system, lam, a_nodes[:, None], b_nodes[None, :], t_samples)
+    node_sums = _lsq(nodes, squares=True)
     scales = [np.max(np.abs(s)) for s in node_sums]
     if not max(scales) < _SUM_CEILING:
         ia, ib = np.indices((avals.size, bvals.size)).reshape(2, -1)
     else:
         num, den, s00 = (la @ s @ lb.T for s in node_sums)
-        mu = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        mu = _fit_mu(num, den)
         ss = s00 - mu * num
         i0, j0 = np.unravel_index(np.argmin(ss), ss.shape)
-        direct = _lsq_sums(which, system, lam, avals[i0], bvals[j0], t_samples)
+        at_min = _coefficients(which, system, lam, avals[i0], bvals[j0], t_samples)
+        direct = _lsq(at_min, squares=True)
         for name, s, d, scale in zip(("num", "den", "s00"), (num, den, s00), direct, scales):
             if not abs(s[i0, j0] - d) <= _SUM_RTOL * max(scale, abs(d)):
                 raise ArithmeticError(
@@ -346,10 +338,10 @@ def _scan_slice(which, system, lam, avals, bvals, t_samples, tolerance):
                     " the mesh sums exceed degree %d"
                     % (name, s[i0, j0], d, lam, avals[i0], bvals[j0], _NODES - 1)
                 )
-        _, m0 = best_mu_residual(which, system, lam, avals[i0], bvals[j0], t_samples)
+        m0 = _max_norm(at_min, _fit_mu(*direct[:2]))
         # rounding of the interpolated ss, to first order in each sum
         slack = _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
-        ia, ib = np.nonzero(ss <= n * max(m0, tolerance) ** 2 + slack)
+        ia, ib = np.nonzero(ss <= len(nodes) * max(m0, tolerance) ** 2 + slack)
     mu, res = best_mu_residual(which, system, lam, avals[ia], bvals[ib], t_samples)
     hits = [
         _hit(lam, avals[i], bvals[j], mu[k], res[k])
@@ -364,18 +356,12 @@ def _scan_slice(which, system, lam, avals, bvals, t_samples, tolerance):
 def _residual_rows(which, system, points, t_samples):
     """Residual coefficients r0 - mu * r1 of k points, one row per point.
 
-    points has the columns (lam, a, b, mu); a row runs over systems,
-    monomials and samples.  One _system_parts call takes the samples on a
-    leading axis.
+    points has the columns (lam, a, b, mu); a row runs over samples,
+    systems and monomials, in the order of _coefficients.
     """
     lam, a, b, mu = np.asarray(points, dtype=float).T
-    t = np.reshape(t_samples, (-1, 1))
-    shape = (t.shape[0], lam.shape[0])
-    rows = []
-    for r0, r1 in _system_parts(which, _systems(system), lam, a, b, t):
-        for m in set(r0) | set(r1):
-            rows.append(np.broadcast_to(r0.get(m, 0.0) - mu * r1.get(m, 0.0), shape))
-    return np.concatenate(rows).T
+    c0, c1 = np.transpose(_coefficients(which, system, lam, a, b, t_samples), (1, 2, 0))
+    return c0 - mu[:, None] * c1
 
 
 # Gauss-Newton steps per polish, the forward-difference step of its

@@ -501,12 +501,6 @@ class AnsatzFamily:
         names = S7_FRAME_NAMES if self.which == self.S7_STYLE else B7_FRAME_NAMES
         return conormal_frame(names, self.frame_forms(cf), cf)
 
-    def canonical_bindings(self):
-        """The specialization recovering the built-in structure's frame."""
-        if self.which == self.S7_STYLE:
-            return {"lam": LAMBDA_CANON, "a": alg(2), "b": alg(1)}
-        return {"lam": LAMBDA_CANON, "a": alg(Fraction(1, 2)), "b": ALG_ZERO}
-
 
 @functools.cache
 def _family_parts(which):

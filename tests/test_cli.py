@@ -259,9 +259,14 @@ def test_sweep_command(capsys):
     (("--a-max", "inf"), "--a-max must be finite"),
     (("--lambda-min", "nan"), "--lambda-min must be finite"),
     (("--b-min=-inf",), "--b-min must be finite"),
+    (("--a-min=-1e308", "--a-max=1e308"), "--a-min to --a-max spans over 1000000"),
+    (("--a-min=-1e300", "--a-max=1e300"), "--a-min to --a-max spans over 1000000"),
+    (("--resolution", "1e-6"), "--lambda-min to --lambda-max spans over 1000000"),
+    (("--resolution", "0.002"), "slice of 6005001 mesh points exceeds 1000000"),
 ], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples",
         "tolerance-zero", "tolerance-negative", "tolerance-nan", "a-max-inf",
-        "lambda-min-nan", "b-min-minus-inf"])
+        "lambda-min-nan", "b-min-minus-inf", "a-span-overflows", "a-span-huge",
+        "resolution-tiny", "slice-too-large"])
 def test_sweep_rejects_bad_inputs(capsys, flags, message):
     code, out, err = run(capsys, "sweep", "--space", "b7", *flags)
     assert code == 2

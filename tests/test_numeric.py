@@ -1,6 +1,9 @@
 """Cross-checks between the exact engine and the float evaluator."""
 
+import ast
 import math
+import pathlib
+import sys
 import random
 import zlib
 
@@ -69,15 +72,18 @@ def test_numeric_d_squared_zero(which):
     assert all(abs(c) < 1e-14 for c in dd.values())
 
 
+def _residual_max(which, lam, a, b, mu, samples):
+    """Max |residual coefficient| of the joint system at one point and mu."""
+    return np.max(np.abs(numeric._residual_rows(which, "both", [(lam, a, b, mu)], samples)))
+
+
 def test_canonical_point_residual_ten_samples():
     lam = LAMBDA_CANON.to_float()
     mu = MU_CANON.to_float()
     samples = numeric.default_t_samples(10)
     assert len(samples) == 10
-    worst = numeric.residual_max("b7", "both", lam, 0.5, 0.0, mu, samples)
-    assert worst < 1e-9
-    worst = numeric.residual_max("s7", "both", lam, 2.0, 1.0, mu, samples)
-    assert worst < 1e-9
+    assert _residual_max("b7", lam, 0.5, 0.0, mu, samples) < 1e-9
+    assert _residual_max("s7", lam, 2.0, 1.0, mu, samples) < 1e-9
 
 
 def test_fitted_mu_at_canonical_points():
@@ -203,17 +209,87 @@ _BATCH = np.random.default_rng(11).uniform(-1.5, 1.5, (3, 40))
     ids=["point", "mesh", "batch7", "batch40"],
 )
 def test_shared_frame_matches_residual_parts(which, lam, a, b):
-    # every case takes its samples one at a time and both systems from one
-    # shared frame; the reference takes one residual_parts call per sample
-    # and system
+    # every case takes its samples in runs on a leading axis and both
+    # systems from one shared frame; the reference takes one residual_parts
+    # call per sample and system, and lists the coefficients in the same
+    # order: sample, then system, then monomial
     samples = numeric.default_t_samples()
+    shape = np.broadcast(lam, a, b).shape
+    coefficients = numeric._coefficients(which, "both", lam, a, b, samples)
+    ref = [
+        (r0.get(m, 0.0), r1.get(m, 0.0))
+        for r0, r1 in _parts_by_system(which, lam, a, b, samples)
+        for m in set(r0) | set(r1)
+    ]
+    assert len(coefficients) == len(ref)
+    for got, want in zip(coefficients, ref):
+        for c, w in zip(got, want):
+            assert np.shape(c) == shape
+            np.testing.assert_allclose(c, np.broadcast_to(w, shape), rtol=0, atol=1e-12)
     mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
     ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
     np.testing.assert_allclose(mu, ref_mu, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res, ref_res, rtol=0, atol=1e-12)
-    worst = numeric.residual_max(which, "both", lam, a, b, -1.7, samples)
+    worst = numeric._max_norm(coefficients, -1.7)
     ref_worst = _reference_max(_parts_by_system(which, lam, a, b, samples), -1.7)
     np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("elements", [1, 14, 20])
+def test_sample_runs_leave_sums_bit_exact(monkeypatch, which, elements):
+    # 7 points take 1, 2 or 2 samples per run here and all 9 by default;
+    # the sums are added sample by sample, so every run length and every
+    # single point give the same bits
+    lam, a, b = _BATCH[:, :7]
+    samples = numeric.default_t_samples()
+    want = numeric.best_mu_residual(which, "both", lam, a, b, samples)
+    monkeypatch.setattr(numeric, "_RUN_ELEMENTS", elements)
+    got = numeric.best_mu_residual(which, "both", lam, a, b, samples)
+    np.testing.assert_array_equal(got, want)
+    for k in range(7):
+        point = numeric.best_mu_residual(which, "both", lam[k], a[k], b[k], samples)
+        np.testing.assert_array_equal(point, (want[0][k], want[1][k]))
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("system", ["nhf", "flow"])
+def test_residual_is_polynomial_over_c(which, system):
+    # a polynomial is holomorphic, so at a complex point the central
+    # differences along h and along i·h agree, for each of lam, a, b, mu
+    point = np.array([0.9 + 0.3j, 0.4 - 0.2j, -0.3 + 0.5j, -1.7 + 0.4j])
+    t, h = 0.4, 1e-5
+
+    def residual(x):
+        r0, r1 = numeric.residual_parts(which, system, x[0], x[1], x[2], t)
+        return numeric.add(r0, numeric.scale(r1, -x[3]))
+
+    for k in range(4):
+        step = np.zeros(4, dtype=complex)
+        step[k] = h
+        plus, minus = residual(point + step), residual(point - step)
+        iplus, iminus = residual(point + 1j * step), residual(point - 1j * step)
+        monos = set(plus) | set(minus) | set(iplus) | set(iminus)
+        along_h = np.array([plus.get(m, 0) - minus.get(m, 0) for m in monos]) / (2 * h)
+        along_ih = np.array([iplus.get(m, 0) - iminus.get(m, 0) for m in monos]) / (2j * h)
+        gap = np.max(np.abs(along_h - along_ih)) / np.max(np.abs(along_h))
+        assert gap < 1e-8, (k, gap)
+
+
+def test_numeric_imports_only_stdlib_and_numpy():
+    # the float evaluator is the independent cross-check of the exact
+    # engine, so it may not import any of it
+    tree = ast.parse(pathlib.Path(numeric.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.dump(node)
+            roots = [node.module.split(".")[0]]
+        elif isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        else:
+            continue
+        for root in roots:
+            assert root == "numpy" or root in sys.stdlib_module_names, root
 
 
 def test_grid_mesh_keeps_per_sample_sums():
@@ -300,7 +376,7 @@ def test_polished_hit_mu_and_residual_belong_together(which, box):
     hits = numeric.numeric_sweep(which, "both", **box)
     assert hits
     for h in hits:
-        res = numeric.residual_max(which, "both", h["lam"], h["a"], h["b"], h["mu"], samples)
+        res = _residual_max(which, h["lam"], h["a"], h["b"], h["mu"], samples)
         assert abs(res - h["residual"]) < 1e-12
 
 
