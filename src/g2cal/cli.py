@@ -205,11 +205,6 @@ def _cmd_constraints(cfg):
     return 0
 
 
-# Most resolution steps along one axis, and most mesh points in one lambda
-# slice, that sweep accepts; the default box has 121 x 81 = 9801 per slice.
-_MAX_MESH = 10**6
-
-
 def _cmd_sweep(cfg):
     space = cfg.get("space")
     if space not in _FAMILY_OF_SPACE:
@@ -230,31 +225,28 @@ def _cmd_sweep(cfg):
     if cfg["t-samples"] < 1:
         sys.stderr.write("--t-samples must be at least 1\n")
         return 2
-    points = {}
-    for name in ("lambda", "a", "b"):
-        steps = (cfg[name + "-max"] - cfg[name + "-min"]) / cfg["resolution"]
-        if not steps < _MAX_MESH:  # inf when the span overflows
-            sys.stderr.write("--%s-min to --%s-max spans over %d --resolution steps\n"
-                             % (name, name, _MAX_MESH))
-            return 2
-        points[name] = round(steps) + 1
-    if points["a"] * points["b"] > _MAX_MESH:
-        sys.stderr.write("a lambda slice of %d mesh points exceeds %d; raise --resolution\n"
-                         % (points["a"] * points["b"], _MAX_MESH))
-        return 2
     from . import numeric  # numpy is needed by sweep only
 
     which, system = _FAMILY_OF_SPACE[space]
-    hits = numeric.numeric_sweep(
-        which,
-        system,
-        lambda_range=(cfg["lambda-min"], cfg["lambda-max"]),
-        a_range=(cfg["a-min"], cfg["a-max"]),
-        b_range=(cfg["b-min"], cfg["b-max"]),
-        resolution=cfg["resolution"],
-        tolerance=cfg["tolerance"],
-        t_samples=numeric.default_t_samples(cfg["t-samples"]),
-    )
+    try:
+        hits = numeric.numeric_sweep(
+            which,
+            system,
+            lambda_range=(cfg["lambda-min"], cfg["lambda-max"]),
+            a_range=(cfg["a-min"], cfg["a-max"]),
+            b_range=(cfg["b-min"], cfg["b-max"]),
+            resolution=cfg["resolution"],
+            tolerance=cfg["tolerance"],
+            t_samples=numeric.default_t_samples(cfg["t-samples"]),
+        )
+    except numeric.MeshTooLarge as exc:
+        if exc.axis:
+            sys.stderr.write("--%s-min to --%s-max spans over %d --resolution steps\n"
+                             % (exc.axis, exc.axis, numeric.MAX_MESH))
+        else:
+            sys.stderr.write("a lambda slice of %d mesh points exceeds %d; raise --resolution\n"
+                             % (exc.points, numeric.MAX_MESH))
+        return 2
     hits = [
         {k: v if k == "count" else _round12(v) for k, v in h.items()}
         for h in sorted(hits, key=lambda h: (h["lam"], h["a"], h["b"]))

@@ -260,6 +260,40 @@ def default_t_samples(count=9):
     return [step * (j + 1) for j in range(count)]
 
 
+# Most resolution steps along one axis, and most mesh points in one lambda
+# slice, that numeric_sweep accepts; the default box has 121 x 81 = 9801
+# per slice.
+MAX_MESH = 10**6
+
+
+class MeshTooLarge(ValueError):
+    """A sweep box too large to build.
+
+    axis is "lambda", "a" or "b" when that axis spans MAX_MESH or more
+    resolution steps; otherwise axis is None and points is the size of
+    one lambda slice's mesh, which exceeds MAX_MESH.
+    """
+
+    def __init__(self, axis=None, points=None):
+        self.axis, self.points = axis, points
+        super().__init__(
+            "%s_range spans %d or more resolution steps" % (axis, MAX_MESH) if axis
+            else "a lambda slice of %d mesh points exceeds %d" % (points, MAX_MESH)
+        )
+
+
+def _check_mesh(ranges, resolution):
+    """Raise MeshTooLarge unless the (lambda, a, b) box's mesh can be built."""
+    points = []
+    for axis, (lo, hi) in zip(("lambda", "a", "b"), ranges):
+        steps = (hi - lo) / resolution
+        if not steps < MAX_MESH:  # inf when the span overflows
+            raise MeshTooLarge(axis)
+        points.append(round(steps) + 1)
+    if points[1] * points[2] > MAX_MESH:
+        raise MeshTooLarge(points=points[1] * points[2])
+
+
 def _grid(lo, hi, res):
     n = int(round((hi - lo) / res))
     return np.linspace(lo, hi, n + 1)
@@ -436,7 +470,9 @@ def numeric_sweep(
     screened by _scan_slice, which evaluates directly only the mesh points
     that can be a hit or the slice's minimum, so hits and minima are those
     of best_mu_residual on the whole mesh.
+    A box whose mesh cannot be built raises MeshTooLarge before any work.
     """
+    _check_mesh((lambda_range, a_range, b_range), resolution)
     if t_samples is None:
         t_samples = default_t_samples()
     lams = _grid(*lambda_range, resolution)

@@ -204,7 +204,6 @@ ALG_ONE = AlgebraicScalar(1)
 SQRT3 = AlgebraicScalar(0, 1)
 SQRT5 = AlgebraicScalar(0, 0, 1)
 SQRT15 = AlgebraicScalar(0, 0, 0, 1)
-_HALF = AlgebraicScalar(Fraction(1, 2))
 
 
 def alg(q0, q1=0, q2=0, q3=0):
@@ -303,28 +302,33 @@ class TrigScalar:
 
     def __mul__(self, other):
         other = TrigScalar.coerce(other)
-        acc = {}
-
-        def put(k, c):
-            acc[k] = acc[k] + c if k in acc else c
-
-        # product to sum: with m = |j|, n = |k| and h = x*y/2,
+        x, y = self.terms, other.terms
+        if not x or not y:
+            return TRIG_ZERO
+        # a constant factor scales the other operand mode by mode
+        if len(y) == 1 and 0 in y:
+            x, y = y, x
+        if len(x) == 1 and 0 in x:
+            c = x[0]
+            return TrigScalar({k: v * c for k, v in y.items()})
+        # product to sum: with m = |j|, n = |k| and h = u*v/2,
         #   cos m cos n = h cos(m-n) + h cos(m+n)
         #   sin m sin n = h cos(m-n) - h cos(m+n)
         #   sin m cos n = h sin(m+n) + h sin(m-n)
-        for j, x in self.terms.items():
+        acc = {}
+        for j, u in x.items():
             m = abs(j)
-            for k, y in other.terms.items():
+            for k, v in y.items():
                 n = abs(k)
-                h = x * y * _HALF
+                h0, h1, h2, h3, hd = (u * v)._v
+                h = _reduced(h0, h1, h2, h3, 2 * hd)
                 if (j < 0) == (k < 0):
-                    put(abs(m - n), h)
-                    put(m + n, -h if j < 0 else h)
+                    parts = ((abs(m - n), h), (m + n, -h if j < 0 else h))
                 else:
-                    put(-(m + n), h)
                     d = m - n if j < 0 else n - m   # sine minus cosine frequency
-                    if d:
-                        put(-abs(d), h if d > 0 else -h)
+                    parts = ((-(m + n), h), (-abs(d), h if d > 0 else -h)) if d else ((-(m + n), h),)
+                for key, c in parts:
+                    acc[key] = acc[key] + c if key in acc else c
         return TrigScalar(acc)
 
     __rmul__ = __mul__
@@ -488,20 +492,35 @@ class ParamPoly:
         return ParamPoly({e: c.deriv() for e, c in self.terms.items()})
 
     def bind(self, bindings):
-        """Partially specialize; returns a ParamPoly over the rest."""
+        """Partially specialize; returns a ParamPoly over the rest.
+
+        Each power of a bound value is computed once per call, and a
+        monomial's bound factors are multiplied into one AlgebraicScalar
+        that scales its coefficient mode by mode, so no TrigScalar is
+        multiplied.  The sums are kept per (remaining exponent, mode) and
+        made into TrigScalars once, at the end.
+        """
+        powers = {}     # unknown index -> [1, val, val**2, ...]
         out = {}
         for exp, coeff in self.terms.items():
-            factor = coeff
+            factor = None
             new_exp = list(exp)
             for i, e in enumerate(exp):
                 name = UNKNOWNS[i]
                 if e and name in bindings:
-                    val = AlgebraicScalar.coerce(bindings[name])
-                    factor = factor * TrigScalar.const(val ** e)
+                    pw = powers.get(i)
+                    if pw is None:
+                        pw = powers[i] = [ALG_ONE, AlgebraicScalar.coerce(bindings[name])]
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * pw[1])
+                    factor = pw[e] if factor is None else factor * pw[e]
                     new_exp[i] = 0
-            key = tuple(new_exp)
-            out[key] = out[key] + factor if key in out else factor
-        return ParamPoly(out)
+            modes = out.setdefault(tuple(new_exp), {})
+            for k, c in coeff.terms.items():
+                if factor is not None:
+                    c = c * factor
+                modes[k] = modes[k] + c if k in modes else c
+        return ParamPoly({exp: TrigScalar(modes) for exp, modes in out.items()})
 
     def degree_in(self, name):
         i = _UNKNOWN_INDEX[name]

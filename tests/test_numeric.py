@@ -509,3 +509,23 @@ def test_b7_nhf_default_hits_lie_on_certified_components():
             and abs(mu * lam - 2) < 1e-6
         )
         assert on_i or on_ii or on_iii, h
+
+
+@pytest.mark.parametrize("box, axis, points", [
+    ({"a_range": (-1e300, 1e300)}, "a", None),
+    ({"a_range": (-1e308, 1e308)}, "a", None),   # the span overflows to inf
+    ({"lambda_range": (0.1, 2.0), "resolution": 1e-6}, "lambda", None),
+    ({"resolution": 0.002}, None, 3001 * 2001),
+], ids=["a-span-huge", "a-span-overflows", "lambda-span-huge", "slice-too-large"])
+def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
+    # the library call refuses the box by name before any evaluation
+    def never(*args):
+        raise AssertionError("a slice was scanned")
+
+    monkeypatch.setattr(numeric, "_scan_slice", never)
+    with pytest.raises(numeric.MeshTooLarge) as exc:
+        numeric.numeric_sweep("b7", "both", **box)
+    assert isinstance(exc.value, ValueError)
+    assert (exc.value.axis, exc.value.points) == (axis, points)
+    assert str(exc.value).startswith("%s_range spans" % axis if axis
+                                     else "a lambda slice of %d mesh points" % points)

@@ -19,7 +19,9 @@ from g2cal.scalars import (
     ParamPoly,
     LAM,
     A_UNK,
+    B_UNK,
     MU,
+    UNKNOWNS,
     alg,
     c_k,
     s_k,
@@ -134,6 +136,104 @@ def test_param_poly_bind_and_substitute():
     # binding every unknown substitutes: a constant ParamPoly remains
     full = p.bind({"lam": alg(2), "a": alg(3), "mu": alg(-1)})
     assert full.const_value().const_value() == alg(10)
+
+
+def _ref_trig_mul(x, y):
+    """Product to sum, one pair of modes at a time."""
+    half = alg(Fraction(1, 2))
+    out = TRIG_ZERO
+    for j, u in x.terms.items():
+        for k, v in y.terms.items():
+            m, n, h = abs(j), abs(k), u * v * half
+            if j >= 0 and k >= 0:   # cos m cos n
+                part = TrigScalar.cos(m - n, h) + TrigScalar.cos(m + n, h)
+            elif j < 0 and k < 0:   # sin m sin n
+                part = TrigScalar.cos(m - n, h) - TrigScalar.cos(m + n, h)
+            elif j < 0:             # sin m cos n
+                part = TrigScalar.sin(m + n, h) + TrigScalar.sin(m - n, h)
+            else:                   # cos m sin n
+                part = TrigScalar.sin(m + n, h) - TrigScalar.sin(m - n, h)
+            out = out + part
+    return out
+
+
+def _assert_no_zero_stored(x):
+    if isinstance(x, ParamPoly):
+        for c in x.terms.values():
+            assert not c.is_zero()
+            _assert_no_zero_stored(c)
+    else:
+        assert all(not c.is_zero() for c in x.terms.values())
+
+
+constants = hs.one_of(
+    hs.sampled_from([0, 1, -1, ALG_ZERO, TRIG_ZERO, TRIG_ONE]), fractions, algebraics
+)
+
+
+@given(trigs, constants)
+@settings(derandomize=True, max_examples=100)
+def test_trig_product_with_constant(x, c):
+    k = TrigScalar.coerce(c)
+    want = _ref_trig_mul(x, k)
+    assert _ref_trig_mul(k, x) == want
+    # AlgebraicScalar * TrigScalar is not defined; the other orders are
+    left = () if isinstance(c, AlgebraicScalar) else (c * x,)
+    for got in (x * c, x * k, k * x) + left:
+        assert got == want
+        _assert_no_zero_stored(got)
+    assert x * TRIG_ONE == x == TRIG_ONE * x
+    assert (x * TRIG_ZERO).terms == {} == (TRIG_ZERO * x).terms
+
+
+# -- ParamPoly.bind ---------------------------------------------------------------
+
+_exponents = hs.tuples(*[hs.integers(min_value=0, max_value=2)] * 4)
+param_polys = hs.dictionaries(_exponents, trigs, max_size=4).map(ParamPoly)
+_values = hs.one_of(
+    hs.integers(min_value=-3, max_value=3),
+    hs.fractions(min_value=-3, max_value=3, max_denominator=6),
+    hs.tuples(*[hs.fractions(min_value=-2, max_value=2, max_denominator=4)] * 4).map(
+        lambda q: alg(*q)
+    ),
+)
+full_bindings = hs.fixed_dictionaries({name: _values for name in UNKNOWNS})
+
+
+@given(param_polys, param_polys, full_bindings, hs.sets(hs.sampled_from(UNKNOWNS)),
+       hs.sets(hs.sampled_from(UNKNOWNS)), hs.floats(min_value=0.0, max_value=2.0))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_bind_is_exact_and_composes(p, q, full, names1, names2, t):
+    b1 = {k: full[k] for k in names1}
+    b2 = {k: full[k] for k in names2 - names1}
+    both = {**b1, **b2}
+    assert (p * q).bind(both) == p.bind(both) * q.bind(both)
+    assert (p + q).bind(both) == p.bind(both) + q.bind(both)
+    assert p.bind(both) == p.bind(b1).bind(b2)
+    for got in (p.bind(b1), p.bind(both), (p * q).bind(both), p.bind(full)):
+        _assert_no_zero_stored(got)
+    # a full binding leaves a constant whose value is the float evaluation
+    floats = {k: AlgebraicScalar.coerce(v).to_float() for k, v in full.items()}
+    got = p.bind(full).const_value().to_float(t)
+    want = p.to_float(floats, t)
+    scale = sum(
+        sum(abs(c.to_float()) for c in coeff.terms.values())
+        * math.prod(abs(floats[n]) ** e for n, e in zip(UNKNOWNS, exp))
+        for exp, coeff in p.terms.items()
+    )
+    assert abs(got - want) <= 1e-9 * max(1.0, scale)
+
+
+def test_bind_drops_cancelled_terms():
+    assert (LAM - A_UNK).bind({"lam": 2, "a": 2}).terms == {}
+    assert (LAM * MU - A_UNK * MU).bind({"lam": alg(0, 1), "a": SQRT3}).terms == {}
+    # one mode cancels and another survives
+    p = (LAM - A_UNK) * ParamPoly.const(c_k(1)) + B_UNK * ParamPoly.const(s_k(1))
+    got = p.bind({"lam": Fraction(1, 2), "a": Fraction(1, 2), "b": 2})
+    assert got == ParamPoly.const(s_k(1) * 2)
+    _assert_no_zero_stored(got)
+    # a binding for an absent unknown changes nothing
+    assert (LAM * LAM).bind({"mu": 5}) == LAM * LAM
 
 
 def test_param_poly_t_derivative():
