@@ -283,9 +283,17 @@ class MeshTooLarge(ValueError):
 
 
 def _check_mesh(ranges, resolution):
-    """Raise MeshTooLarge unless the (lambda, a, b) box's mesh can be built."""
+    """Raise a ValueError naming the parameter unless the (lambda, a, b)
+    box's mesh can be built: the resolution must be positive, each range's
+    bounds finite with lo <= hi, and the mesh not too large (MeshTooLarge)."""
+    if not resolution > 0:  # also NaN
+        raise ValueError("resolution must be positive, got %r" % (resolution,))
     points = []
     for axis, (lo, hi) in zip(("lambda", "a", "b"), ranges):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("%s_range bounds must be finite, got %r" % (axis, (lo, hi)))
+        if lo > hi:
+            raise ValueError("%s_range is empty: %r exceeds %r" % (axis, lo, hi))
         steps = (hi - lo) / resolution
         if not steps < MAX_MESH:  # inf when the span overflows
             raise MeshTooLarge(axis)
@@ -470,7 +478,8 @@ def numeric_sweep(
     screened by _scan_slice, which evaluates directly only the mesh points
     that can be a hit or the slice's minimum, so hits and minima are those
     of best_mu_residual on the whole mesh.
-    A box whose mesh cannot be built raises MeshTooLarge before any work.
+    A box whose mesh cannot be built raises a ValueError (MeshTooLarge
+    when it is too large) before any work.
     """
     _check_mesh((lambda_range, a_range, b_range), resolution)
     if t_samples is None:
@@ -478,8 +487,6 @@ def numeric_sweep(
     lams = _grid(*lambda_range, resolution)
     avals = _grid(*a_range, resolution)
     bvals = _grid(*b_range, resolution)
-    if lams.size == 0 or avals.size == 0 or bvals.size == 0:
-        return []
     hits = []
     minima = []
     for lam in lams[np.abs(lams) > _LAM_FLOOR]:

@@ -23,6 +23,9 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 _SQRT15 = math.sqrt(15.0)
 
+# The exact numbers every ring of the tower takes as constants.
+_RATIONALS = (int, Fraction)
+
 
 class AlgebraicScalar:
     """Element (n0 + n1*sqrt3 + n2*sqrt5 + n3*sqrt15) / d of Q(sqrt3, sqrt5).
@@ -39,7 +42,7 @@ class AlgebraicScalar:
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
         q = (q0, q1, q2, q3)
         for x in q:
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, _RATIONALS):
                 raise TypeError("expected int or Fraction, got %r" % (x,))
         d = math.lcm(*(x.denominator for x in q))
         _set_v(self, _reduced(*(x.numerator * (d // x.denominator) for x in q), d)._v)
@@ -51,7 +54,7 @@ class AlgebraicScalar:
     def coerce(x):
         if isinstance(x, AlgebraicScalar):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, _RATIONALS):
             return _raw((x.numerator, 0, 0, 0, x.denominator))
         raise TypeError("cannot coerce %r to AlgebraicScalar" % (x,))
 
@@ -65,7 +68,7 @@ class AlgebraicScalar:
         return self._v == _ZERO_V
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONALS):
             other = AlgebraicScalar.coerce(other)
         elif not isinstance(other, AlgebraicScalar):
             return NotImplemented
@@ -76,6 +79,8 @@ class AlgebraicScalar:
 
     def __add__(self, other):
         if other.__class__ is not AlgebraicScalar:
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
             other = AlgebraicScalar.coerce(other)
         a0, a1, a2, a3, ad = self._v
         b0, b1, b2, b3, bd = other._v
@@ -93,13 +98,17 @@ class AlgebraicScalar:
         return _raw((-a0, -a1, -a2, -a3, d))
 
     def __sub__(self, other):
-        return self + (-AlgebraicScalar.coerce(other))
+        if not isinstance(other, (AlgebraicScalar, *_RATIONALS)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        return AlgebraicScalar.coerce(other) + (-self)
+        return -self + other if isinstance(other, _RATIONALS) else NotImplemented
 
     def __mul__(self, other):
         if other.__class__ is not AlgebraicScalar:
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
             other = AlgebraicScalar.coerce(other)
         a0, a1, a2, a3, ad = self._v
         b0, b1, b2, b3, bd = other._v
@@ -215,39 +224,118 @@ def mode_order(k):
     return (abs(k), k < 0)
 
 
-class TrigScalar:
-    """Finite Fourier series in t, one coefficient per mode.
+class _Terms:
+    """Sparse sum {key: coefficient in `_ring`}; no stored coefficient is
+    zero, so equal values have equal term dicts.
 
-    terms maps k >= 0 to the coefficient of cos(k t) and -k < 0 to the
-    coefficient of sin(k t); no stored coefficient is zero.  Canonical
-    forms are unique, so __eq__ decides equality of the represented
-    functions.
+    Only the public constructor, which `coerce` and `const` reach, coerces
+    coefficients.  Arithmetic results come from `_made`, which trusts its
+    ring-typed coefficients and only drops zeros, as `_reduced` does.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        clean = {}
-        for k, c in terms.items():
-            c = AlgebraicScalar.coerce(c)
-            if not c.is_zero():
-                clean[k] = c
-        object.__setattr__(self, "terms", clean)
+        coerce = self._ring.coerce
+        _set_terms(self, {k: v for k, c in terms.items() if not (v := coerce(c)).is_zero()})
+
+    @classmethod
+    def _made(cls, terms):
+        x = _new(cls)
+        _set_terms(x, {k: c for k, c in terms.items() if not c.is_zero()})
+        return x
 
     def __setattr__(self, name, value):
-        raise AttributeError("TrigScalar is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, TrigScalar):
+    @classmethod
+    def _lift(cls, x):
+        """x as a value of this class; None when x lies outside the tower."""
+        if x.__class__ is cls:
             return x
-        if isinstance(x, (int, Fraction, AlgebraicScalar)):
-            return TrigScalar.const(x)
-        raise TypeError("cannot coerce %r to TrigScalar" % (x,))
+        if isinstance(x, cls._scalars):
+            return cls.const(x)
+        return None
 
-    @staticmethod
-    def const(a):
-        return TrigScalar({0: a})
+    @classmethod
+    def coerce(cls, x):
+        if (y := cls._lift(x)) is None:
+            raise TypeError("cannot coerce %r to %s" % (x, cls.__name__))
+        return y
+
+    @classmethod
+    def const(cls, x):
+        return cls({cls._const_key: x})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_const(self):
+        return self.terms.keys() <= {self._const_key}
+
+    def const_value(self):
+        """The coefficient of the constant term, when no other term occurs."""
+        if not self.is_const():
+            raise ValueError("not constant: %s" % self)
+        return self.terms.get(self._const_key, self._zero)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if (other := self._lift(other)) is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._made(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._made({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else other + -self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
+        out = self.const(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.render())
+
+    def __str__(self):
+        return self.render()
+
+
+_set_terms = _Terms.terms.__set__
+
+
+class TrigScalar(_Terms):
+    """Finite Fourier series in t, one coefficient per mode.
+
+    terms maps k >= 0 to the coefficient of cos(k t) and -k < 0 to the
+    coefficient of sin(k t).
+    """
+
+    __slots__ = ()
+    # coefficient ring and its zero, other types taken as constants, constant key
+    _ring, _zero, _const_key = AlgebraicScalar, ALG_ZERO, 0
+    _scalars = (*_RATIONALS, AlgebraicScalar)
 
     @staticmethod
     def cos(n, coeff=1):
@@ -259,58 +347,16 @@ class TrigScalar:
             return -TrigScalar.sin(-n, coeff)
         return TrigScalar({-n: coeff} if n else {})
 
-    def is_zero(self):
-        return not self.terms
-
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def const_value(self):
-        if self.is_zero():
-            return ALG_ZERO
-        if not self.is_const():
-            raise ValueError("not constant: %s" % self)
-        return self.terms[0]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, AlgebraicScalar)):
-            other = TrigScalar.const(other)
-        if not isinstance(other, TrigScalar):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("trig", tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        other = TrigScalar.coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TrigScalar(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TrigScalar({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-TrigScalar.coerce(other))
-
-    def __rsub__(self, other):
-        return TrigScalar.coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = TrigScalar.coerce(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         x, y = self.terms, other.terms
-        if not x or not y:
-            return TRIG_ZERO
         # a constant factor scales the other operand mode by mode
         if len(y) == 1 and 0 in y:
             x, y = y, x
         if len(x) == 1 and 0 in x:
             c = x[0]
-            return TrigScalar({k: v * c for k, v in y.items()})
+            return TrigScalar._made({k: v * c for k, v in y.items()})
         # product to sum: with m = |j|, n = |k| and h = u*v/2,
         #   cos m cos n = h cos(m-n) + h cos(m+n)
         #   sin m sin n = h cos(m-n) - h cos(m+n)
@@ -329,13 +375,13 @@ class TrigScalar:
                     parts = ((-(m + n), h), (-abs(d), h if d > 0 else -h)) if d else ((-(m + n), h),)
                 for key, c in parts:
                     acc[key] = acc[key] + c if key in acc else c
-        return TrigScalar(acc)
+        return TrigScalar._made(acc)
 
     __rmul__ = __mul__
 
     def deriv(self):
         """d/dt of the represented function."""
-        return TrigScalar({-k: c * -k for k, c in self.terms.items() if k})
+        return TrigScalar._made({-k: c * -k for k, c in self.terms.items() if k})
 
     def to_float(self, t):
         return sum(
@@ -344,22 +390,13 @@ class TrigScalar:
         )
 
     def render(self):
-        if not self.terms:
-            return "0"
         parts = []
         for k in sorted(self.terms, key=mode_order):
             part = "(%s)" % self.terms[k].render()
             if k:
-                fn = "cos" if k > 0 else "sin"
-                part += "*%s(%st)" % (fn, "" if abs(k) == 1 else abs(k))
+                part += "*%s(%st)" % ("cos" if k > 0 else "sin", "" if abs(k) == 1 else abs(k))
             parts.append(part)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "TrigScalar(%s)" % self.render()
-
-    def __str__(self):
-        return self.render()
+        return " + ".join(parts) or "0"
 
 
 TRIG_ZERO = TrigScalar({})
@@ -392,36 +429,19 @@ _UNKNOWN_INDEX = {name: i for i, name in enumerate(UNKNOWNS)}
 _ZERO_EXP = (0, 0, 0, 0)
 
 
-class ParamPoly:
-    """Polynomial in (lam, a, b, mu) with TrigScalar coefficients."""
+class ParamPoly(_Terms):
+    """Polynomial in (lam, a, b, mu) with TrigScalar coefficients, keyed
+    by exponent vectors."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ring, _zero, _const_key = TrigScalar, TRIG_ZERO, _ZERO_EXP
+    _scalars = (*TrigScalar._scalars, TrigScalar)
 
     def __init__(self, terms):
-        clean = {}
-        for exp, coeff in terms.items():
-            coeff = TrigScalar.coerce(coeff)
-            if coeff.is_zero():
-                continue
+        super().__init__(terms)
+        for exp in self.terms:
             if len(exp) != 4 or any(e < 0 for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
-            clean[tuple(exp)] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, ParamPoly):
-            return x
-        if isinstance(x, (int, Fraction, AlgebraicScalar, TrigScalar)):
-            return ParamPoly.const(x)
-        raise TypeError("cannot coerce %r to ParamPoly" % (x,))
-
-    @staticmethod
-    def const(x):
-        return ParamPoly({_ZERO_EXP: TrigScalar.coerce(x)})
 
     @staticmethod
     def unknown(name):
@@ -429,67 +449,21 @@ class ParamPoly:
         exp[_UNKNOWN_INDEX[name]] = 1
         return ParamPoly({tuple(exp): TRIG_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
-
-    def const_value(self):
-        """The TrigScalar value when no unknowns occur."""
-        if self.is_zero():
-            return TRIG_ZERO
-        if not self.is_const():
-            raise ValueError("unknowns occur in %s" % self)
-        return self.terms[_ZERO_EXP]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, AlgebraicScalar, TrigScalar)):
-            other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = ParamPoly.coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out[exp] + coeff if exp in out else coeff
-        return ParamPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-ParamPoly.coerce(other))
-
-    def __rsub__(self, other):
-        return ParamPoly.coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = ParamPoly.coerce(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 c = c1 * c2
                 out[exp] = out[exp] + c if exp in out else c
-        return ParamPoly(out)
+        return ParamPoly._made(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = ParamPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def deriv_t(self):
-        return ParamPoly({e: c.deriv() for e, c in self.terms.items()})
+        return ParamPoly._made({e: c.deriv() for e, c in self.terms.items()})
 
     def bind(self, bindings):
         """Partially specialize; returns a ParamPoly over the rest.
@@ -505,8 +479,7 @@ class ParamPoly:
         for exp, coeff in self.terms.items():
             factor = None
             new_exp = list(exp)
-            for i, e in enumerate(exp):
-                name = UNKNOWNS[i]
+            for i, (name, e) in enumerate(zip(UNKNOWNS, exp)):
                 if e and name in bindings:
                     pw = powers.get(i)
                     if pw is None:
@@ -520,7 +493,7 @@ class ParamPoly:
                 if factor is not None:
                     c = c * factor
                 modes[k] = modes[k] + c if k in modes else c
-        return ParamPoly({exp: TrigScalar(modes) for exp, modes in out.items()})
+        return ParamPoly._made({exp: TrigScalar._made(modes) for exp, modes in out.items()})
 
     def degree_in(self, name):
         i = _UNKNOWN_INDEX[name]
@@ -529,13 +502,9 @@ class ParamPoly:
     def coefficient_of(self, name, power):
         """Coefficient ParamPoly of name**power."""
         i = _UNKNOWN_INDEX[name]
-        out = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == power:
-                e = list(exp)
-                e[i] = 0
-                out[tuple(e)] = coeff
-        return ParamPoly(out)
+        return ParamPoly._made({
+            exp[:i] + (0,) + exp[i + 1:]: c for exp, c in self.terms.items() if exp[i] == power
+        })
 
     def to_float(self, bindings, t):
         total = 0.0
@@ -548,8 +517,6 @@ class ParamPoly:
         return total
 
     def render(self):
-        if not self.terms:
-            return "0"
         parts = []
         for exp in sorted(self.terms, key=lambda e: (sum(e), e)):
             coeff = self.terms[exp]
@@ -560,13 +527,7 @@ class ParamPoly:
             )
             cs = "[%s]" % coeff.render()
             parts.append(cs + "*" + mono if mono else cs)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "ParamPoly(%s)" % self.render()
-
-    def __str__(self):
-        return self.render()
+        return " + ".join(parts) or "0"
 
 
 POLY_ZERO = ParamPoly({})
@@ -574,4 +535,3 @@ LAM = ParamPoly.unknown("lam")
 A_UNK = ParamPoly.unknown("a")
 B_UNK = ParamPoly.unknown("b")
 MU = ParamPoly.unknown("mu")
-

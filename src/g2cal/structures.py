@@ -569,9 +569,8 @@ def extract_constraints(residual):
                 buckets.setdefault(k, {})[exp] = TrigScalar.const(c)
         for k in sorted(buckets, key=mode_order):
             p = normalize_constraint(ParamPoly(buckets[k]))
-            marker = tuple(sorted(p.terms.items(), key=lambda kv: kv[0]))
-            if marker not in seen:
-                seen.add(marker)
+            if p not in seen:
+                seen.add(p)
                 out.append(p)
     return out
 

@@ -529,3 +529,26 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
     assert (exc.value.axis, exc.value.points) == (axis, points)
     assert str(exc.value).startswith("%s_range spans" % axis if axis
                                      else "a lambda slice of %d mesh points" % points)
+
+
+@pytest.mark.parametrize("box, message", [
+    ({"a_range": (3.0, -3.0)}, "a_range is empty"),
+    ({"a_range": (0.0, -0.05)}, "a_range is empty"),
+    ({"resolution": 0.0}, "resolution must be positive"),
+    ({"resolution": -0.1}, "resolution must be positive"),
+    ({"resolution": math.nan}, "resolution must be positive"),
+    ({"b_range": (math.nan, 1.0)}, "b_range bounds must be finite"),
+    ({"lambda_range": (0.1, math.inf)}, "lambda_range bounds must be finite"),
+], ids=["a-inverted", "a-inverted-narrow", "resolution-zero", "resolution-negative",
+        "resolution-nan", "b-nan", "lambda-inf"])
+def test_sweep_rejects_malformed_box(monkeypatch, box, message):
+    # the library call names the bad parameter before building any grid
+    def never(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(numeric, "_grid", never)
+    monkeypatch.setattr(numeric, "_scan_slice", never)
+    with pytest.raises(ValueError) as exc:
+        numeric.numeric_sweep("b7", "nhf", **box)
+    assert not isinstance(exc.value, numeric.MeshTooLarge)
+    assert str(exc.value).startswith(message)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from g2cal import scalars
 from g2cal.scalars import (
     AlgebraicScalar,
     ALG_ONE,
@@ -177,9 +178,7 @@ def test_trig_product_with_constant(x, c):
     k = TrigScalar.coerce(c)
     want = _ref_trig_mul(x, k)
     assert _ref_trig_mul(k, x) == want
-    # AlgebraicScalar * TrigScalar is not defined; the other orders are
-    left = () if isinstance(c, AlgebraicScalar) else (c * x,)
-    for got in (x * c, x * k, k * x) + left:
+    for got in (x * c, x * k, k * x, c * x):
         assert got == want
         _assert_no_zero_stored(got)
     assert x * TRIG_ONE == x == TRIG_ONE * x
@@ -327,3 +326,80 @@ def test_algebraic_scalar_rejects_non_rationals():
             alg(bad)
     with pytest.raises(TypeError):
         alg(1, 0.5)
+
+
+def test_field_defers_to_the_rings_above():
+    # AlgebraicScalar returns NotImplemented for what it cannot coerce, so
+    # the reflected method of TrigScalar or ParamPoly answers
+    two = alg(2)
+    assert two * TRIG_ONE == TrigScalar.const(2) == TRIG_ONE * two
+    assert two + LAM == LAM + 2
+    assert two - c_k(1) == -(c_k(1) - 2)
+    assert two - LAM == 2 - LAM
+    # the same holds one ring up
+    assert TRIG_ONE + LAM == LAM + 1
+    assert TRIG_ONE * LAM == LAM
+    assert c_k(1) - LAM == -(LAM - c_k(1))
+    for bad in (
+        lambda: alg(1) * 0.5, lambda: 0.5 * alg(1), lambda: alg(1) + 0.5,
+        lambda: alg(1) - 0.5, lambda: 0.5 - alg(1), lambda: TRIG_ONE * 0.5,
+        lambda: 0.5 - LAM,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+_SHARED = [
+    (TrigScalar, (c_k(2), s_k(3) + 1), 0, ALG_ZERO, []),
+    (ParamPoly, (LAM * c_k(2) + A_UNK, MU - s_k(3)), (0, 0, 0, 0), TRIG_ZERO,
+     [(1, 0, 0), (0, -1, 0, 0), (0, 0, 0, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("cls, xy, const_key, ring_zero, bad_keys", _SHARED,
+                         ids=[row[0].__name__ for row in _SHARED])
+def test_sparse_sum_shared_behaviour(cls, xy, const_key, ring_zero, bad_keys):
+    x, y = xy
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    # equality with a constant of each lower type, from both sides
+    for c in (3, Fraction(-2, 7), alg(1, 0, Fraction(1, 2))):
+        k = cls.const(c)
+        assert k == c and c == k
+        assert not (k == c + 1) and not (c + 1 == k)
+        assert x != c and c != x
+    # equal values reached two ways hash alike
+    for u, v in ((x + y, y + x), (x * y, y * x), ((x - y) + y, x), (x * (y + 1), x * y + x)):
+        assert u == v and hash(u) == hash(v)
+    for z in (cls({}), x - x, cls.const(0)):
+        assert z.is_zero() and z.is_const()
+        assert type(z.const_value()) is type(ring_zero) and z.const_value() == ring_zero
+    with pytest.raises(ValueError):
+        x.const_value()
+    assert x ** 0 == 1 and x ** 1 == x and x ** 3 == x * x * x
+    with pytest.raises(ValueError):
+        x ** -1
+    for entry in (cls.coerce, cls.const, lambda v: cls({const_key: v})):
+        with pytest.raises(TypeError):
+            entry(0.5)
+    for key in bad_keys:
+        with pytest.raises(ValueError):
+            cls({key: 1})
+    assert repr(x) == "%s(%s)" % (cls.__name__, x) and str(cls({})) == "0"
+
+
+def test_arithmetic_skips_the_public_constructors(monkeypatch):
+    p, q = LAM * c_k(2) + A_UNK * s_k(1), MU * LAM - c_k(3)
+    x, y = c_k(1) * s_k(2), s_k(3) + 1
+
+    def refuse(self, terms):
+        raise AssertionError("an arithmetic result was re-coerced")
+
+    monkeypatch.setattr(scalars._Terms, "__init__", refuse)
+    monkeypatch.setattr(ParamPoly, "__init__", refuse)
+    for got in (
+        x + y, x - y, -x, x * y, x.deriv(),
+        p + q, p - q, -p, p * q, p.deriv_t(), p.coefficient_of("lam", 1),
+        p.bind({"lam": 2, "a": alg(0, 1)}),
+    ):
+        _assert_no_zero_stored(got)

@@ -1,0 +1,33 @@
+"""The benchmark tracer still fits the classes it patches.
+
+perfbench/tracer.py reads each counted method through vars(cls)[attr], so
+a method that moved to a base class would break every traced run.
+"""
+
+import importlib.util
+import pathlib
+
+from g2cal.scalars import LAM, ParamPoly, TrigScalar
+
+_TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_counts_scalar_products():
+    before = {cls: dict(vars(cls)) for cls in (TrigScalar, ParamPoly)}
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        LAM * LAM
+        counts = tracer.take()["counts"]
+    finally:
+        tracer.uninstall()
+    assert counts.get("scalars.param_mul") == 1
+    assert counts.get("scalars.trig_mul", 0) >= 1
+    assert {cls: dict(vars(cls)) for cls in (TrigScalar, ParamPoly)} == before
