@@ -31,7 +31,8 @@ class NotInFrameSpan(ValueError):
 
 
 def _merge_sorted(idx, extra):
-    """Insert sorted tuple `extra` into sorted tuple `idx` with sign.
+    """Insert the indices of `extra`, in the order given, into sorted
+    tuple `idx`: the sorted tuple of both and the sign of the shuffle.
 
     Returns (None, 0) when an index repeats.
     """
@@ -51,12 +52,34 @@ def _merge_sorted(idx, extra):
 
 
 def _add_term(terms, idx, coeff):
-    """terms[idx] += coeff; `Form` drops the entries that cancel."""
+    """terms[idx] += coeff; `Form._made` drops the entries that cancel."""
     terms[idx] = terms[idx] + coeff if idx in terms else coeff
 
 
+def _wedge_terms(x, y, out):
+    """Add the terms of x ^ y, for term dicts x and y, into `out`."""
+    for i1, c1 in x.items():
+        for i2, c2 in y.items():
+            merged, sign = _merge_sorted(i1, i2)
+            if merged is not None:
+                c = c1 * c2
+                _add_term(out, merged, c if sign > 0 else -c)
+    return out
+
+
+def _indices(gens, names):
+    try:
+        return tuple(gens.index(n) for n in names)
+    except ValueError as exc:
+        raise UnknownGenerator(str(exc))
+
+
 class Form:
-    """Sparse exterior form over an ordered generator tuple."""
+    """Sparse exterior form over an ordered generator tuple.
+
+    The constructor checks the forms that come from outside; results of
+    form arithmetic come from `_made`, which only drops zero coefficients.
+    """
 
     __slots__ = ("gens", "degree", "terms")
 
@@ -65,17 +88,24 @@ class Form:
         clean = {}
         for idx, coeff in terms.items():
             coeff = ParamPoly.coerce(coeff)
-            if coeff.is_zero():
-                continue
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise ValueError("bad monomial %r for degree %d" % (idx, degree))
             if idx and (idx[0] < 0 or idx[-1] >= len(gens)):
                 raise UnknownGenerator(str(idx))
-            clean[idx] = coeff
+            if not coeff.is_zero():
+                clean[idx] = coeff
+        self._set(gens, degree, clean)
+
+    @staticmethod
+    def _made(gens, degree, terms):
+        return _new(Form)._set(gens, degree, {i: c for i, c in terms.items() if not c.is_zero()})
+
+    def _set(self, gens, degree, terms):
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -94,20 +124,10 @@ class Form:
     def monomial(gens, names, coeff=1):
         """Wedge monomial from generator names (order as given, signed)."""
         gens = tuple(gens)
-        try:
-            idx = [gens.index(n) for n in names]
-        except ValueError as exc:
-            raise UnknownGenerator(str(exc))
-        out, sign = (), 1
-        for k in idx:
-            out, s = _merge_sorted(out, (k,))
-            if out is None:
-                return Form(gens, len(names), {})
-            sign *= s
-        coeff = ParamPoly.coerce(coeff)
-        if sign < 0:
-            coeff = -coeff
-        return Form(gens, len(names), {out: coeff})
+        out, sign = _merge_sorted((), _indices(gens, names))
+        if out is None:
+            return Form(gens, len(names), {})
+        return Form(gens, len(names), {out: coeff if sign > 0 else -ParamPoly.coerce(coeff)})
 
     @staticmethod
     def generator(gens, name, coeff=1):
@@ -146,45 +166,28 @@ class Form:
         out = dict(self.terms)
         for idx, coeff in other.terms.items():
             _add_term(out, idx, coeff)
-        return Form(self.gens, self.degree, out)
+        return Form._made(self.gens, self.degree, out)
 
     def __neg__(self):
-        return Form(self.gens, self.degree, {i: -c for i, c in self.terms.items()})
+        return Form._made(self.gens, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = ParamPoly.coerce(c)
-        return Form(self.gens, self.degree, {i: c * v for i, v in self.terms.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        return Form._made(self.gens, self.degree, {i: c * v for i, v in self.terms.items()})
 
     def wedge(self, other):
         self._check_compatible(other)
-        deg = self.degree + other.degree
-        if deg > len(self.gens):
-            return Form.zero(self.gens, len(self.gens))
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                merged, sign = _merge_sorted(i1, i2)
-                if merged is None:
-                    continue
-                coeff = c1 * c2
-                _add_term(out, merged, coeff if sign > 0 else -coeff)
-        return Form(self.gens, deg, out)
+        deg = min(self.degree + other.degree, len(self.gens))
+        return Form._made(self.gens, deg, _wedge_terms(self.terms, other.terms, {}))
 
     # -- helpers -----------------------------------------------------------
 
     def coefficient(self, names):
         """Coefficient of the (canonically ordered) monomial of `names`."""
-        gens = self.gens
-        idx = tuple(sorted(gens.index(n) for n in names))
-        return self.terms.get(idx, POLY_ZERO)
+        return self.terms.get(tuple(sorted(_indices(self.gens, names))), POLY_ZERO)
 
     def render(self):
         if not self.terms:
@@ -197,6 +200,9 @@ class Form:
 
     def __repr__(self):
         return "Form<deg %d>(%s)" % (self.degree, self.render())
+
+
+_new = object.__new__
 
 
 def wedge_all(forms):
@@ -262,13 +268,9 @@ def orbit_d(x, cf):
     out = {}
     for idx, coeff in x.terms.items():
         for m, gi in enumerate(idx):
-            rest = idx[:m] + idx[m + 1:]
-            for pair, c in struct[gi].items():
-                merged, sign = _merge_sorted(rest, pair)
-                if merged is not None:
-                    term = coeff * c
-                    _add_term(out, merged, term if sign == (-1) ** m else -term)
-    return Form(cf.gens, min(x.degree + 1, len(cf.gens)), out)
+            rest = {idx[:m] + idx[m + 1:]: -coeff if m % 2 else coeff}
+            _wedge_terms(struct[gi], rest, out)
+    return Form._made(cf.gens, min(x.degree + 1, len(cf.gens)), out)
 
 
 def ext_d(x, cf):
@@ -281,7 +283,7 @@ def ext_d(x, cf):
         if merged is not None:
             dc = coeff.deriv_t()
             _add_term(out, merged, dc if sign > 0 else -dc)
-    return Form(cf.gens, dx.degree, out)
+    return Form._made(cf.gens, dx.degree, out)
 
 
 def dt_split(x, cf):
@@ -297,7 +299,7 @@ def dt_split(x, cf):
         rest = tuple(i for i in idx if i != i_dt)
         _, sign = _merge_sorted((i_dt,), rest)
         contracted[rest] = coeff if sign > 0 else -coeff
-    return Form(cf.gens, x.degree, free), Form(cf.gens, x.degree - 1, contracted)
+    return Form._made(cf.gens, x.degree, free), Form._made(cf.gens, x.degree - 1, contracted)
 
 
 def d_squared_check(cf):
@@ -340,22 +342,19 @@ class OrthoFrame:
     def dim(self):
         return len(self.names)
 
-    @property
-    def base_gens(self):
-        return self.forms[0].gens
-
     def expand(self, x):
         """Rewrite a frame-basis form over the base coframe."""
         if x.gens != self.names:
             raise UnknownGenerator("form is not in the frame basis")
-        acc = Form.zero(self.base_gens, x.degree)
+        frame = [f.terms for f in self.forms]
+        out = {}
         for idx, coeff in x.terms.items():
-            if not idx:
-                acc = acc + Form.scalar(self.base_gens, coeff)
-                continue
-            term = wedge_all([self.forms[i] for i in idx]).scale(coeff)
-            acc = acc + term
-        return acc
+            term = {(): coeff}
+            for i in idx:
+                term = _wedge_terms(term, frame[i], {})
+            for k, c in term.items():
+                _add_term(out, k, c)
+        return Form._made(self.forms[0].gens, x.degree, out)
 
 
 def hodge_star(x, of):
@@ -376,7 +375,7 @@ def hodge_star(x, of):
         k = len(idx)
         odd = (sum(idx) - k * (k - 1) // 2) % 2
         out[comp] = -coeff if odd else coeff
-    return Form(of.names, n - x.degree, out)
+    return Form._made(of.names, n - x.degree, out)
 
 
 def gram_matrix(metric_terms, basis, gens):

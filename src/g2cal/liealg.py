@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalars import TrigScalar, POLY_ZERO, alg
+from .scalars import ParamPoly, TrigScalar, POLY_ZERO, alg
 from .exterior import Form, OrthoFrame, _add_term
 
 _INV_SQRT5 = alg(0, 0, Fraction(1, 5))        # 1/sqrt5
@@ -51,7 +51,7 @@ def bracket(x, y):
                 c = cx * cy
                 for pq, sign in terms:
                     _add_term(out, pq, c if sign > 0 else -c)
-    return Form(R5_GENS, 2, out)
+    return Form._made(R5_GENS, 2, out)
 
 
 def _dot(x, y):
@@ -109,7 +109,7 @@ def invariant_three_form():
                     terms[(i, j, k)] = c
     lead = terms[(0, 1, 6)]
     inv = lead.inverse()
-    return Form(GAMMA_GENS, 3, {m: c * inv for m, c in terms.items()})
+    return Form._made(GAMMA_GENS, 3, {m: ParamPoly.const(c * inv) for m, c in terms.items()})
 
 
 @functools.cache

@@ -72,14 +72,6 @@ class QuatForm:
 
 def quat_wedge(x, y):
     """Wedge combined with quaternion multiplication of the values."""
-    zero_by_degree = {}
-    gens = x.gens
-
-    def zero(deg):
-        if deg not in zero_by_degree:
-            zero_by_degree[deg] = Form.zero(gens, deg)
-        return zero_by_degree[deg]
-
     acc = [None, None, None, None]
     for u, fu in enumerate(x.components):
         if fu.is_zero():
@@ -93,5 +85,5 @@ def quat_wedge(x, y):
                 w = -w
             acc[unit] = w if acc[unit] is None else acc[unit] + w
     deg = x.components[0].degree + y.components[0].degree
-    return QuatForm(*(zero(deg) if f is None else f for f in acc))
+    return QuatForm(*(Form.zero(x.gens, deg) if f is None else f for f in acc))
 

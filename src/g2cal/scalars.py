@@ -32,9 +32,10 @@ class AlgebraicScalar:
 
     Stored as the int tuple (n0, n1, n2, n3, d) with d > 0 and
     gcd(n0, n1, n2, n3, d) == 1, so each value has one representation
-    and equality and hashing compare the tuples.  This is the integer
-    numerator-plus-common-denominator form of FLINT's fmpq_poly; all
-    arithmetic stays in Python ints.
+    and equality compares the tuples; a rational value hashes as the
+    Fraction it equals.  This is the integer numerator-plus-common-
+    denominator form of FLINT's fmpq_poly; all arithmetic stays in
+    Python ints.
     """
 
     __slots__ = ("_v",)
@@ -75,7 +76,8 @@ class AlgebraicScalar:
         return self._v == other._v
 
     def __hash__(self):
-        return hash(self._v)
+        n0, n1, n2, n3, d = self._v
+        return hash(Fraction(n0, d)) if n1 == n2 == n3 == 0 else hash(self._v)
 
     def __add__(self, other):
         if other.__class__ is not AlgebraicScalar:
@@ -284,7 +286,8 @@ class _Terms:
         return NotImplemented if other is None else self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its value, which it equals
+        return hash(self.const_value()) if self.is_const() else hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if (other := self._lift(other)) is None:

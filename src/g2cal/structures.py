@@ -213,17 +213,14 @@ class Su3Structure:
         if len(six) != 6 or any(f.degree != 1 for f in six):
             raise DegreeError("expected six 1-forms")
         x1, x2, x3, x4, x5, x6 = six
-
-        def w(*fs):
-            return wedge_all(fs)
-
+        x13, x14, x23, x24 = x1.wedge(x3), x1.wedge(x4), x2.wedge(x3), x2.wedge(x4)
         object.__setattr__(self, "forms", six)
-        object.__setattr__(self, "xi", w(x1, x2) + w(x3, x4) + w(x5, x6))
+        object.__setattr__(self, "xi", x1.wedge(x2) + x3.wedge(x4) + x5.wedge(x6))
         object.__setattr__(
-            self, "re", w(x1, x3, x5) - w(x1, x4, x6) - w(x2, x3, x6) - w(x2, x4, x5)
+            self, "re", x13.wedge(x5) - x14.wedge(x6) - x23.wedge(x6) - x24.wedge(x5)
         )
         object.__setattr__(
-            self, "im", w(x2, x3, x5) + w(x1, x4, x5) + w(x1, x3, x6) - w(x2, x4, x6)
+            self, "im", x23.wedge(x5) + x14.wedge(x5) + x13.wedge(x6) - x24.wedge(x6)
         )
 
     def __setattr__(self, name, value):

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from g2cal.scalars import c_k, s_k
+from g2cal import exterior
+from g2cal.liealg import E, bracket
+from g2cal.scalars import LAM, c_k, s_k
 from g2cal.exterior import (
     Form,
     CoframeSpec,
@@ -17,6 +19,7 @@ from g2cal.exterior import (
     d_squared_check,
     hodge_star,
     wedge_all,
+    dt_split,
     UnknownGenerator,
     DegreeError,
     SingularFrame,
@@ -28,18 +31,18 @@ GENS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 coeffs = hs.fractions(min_value=-6, max_value=6, max_denominator=8)
 
 
-def random_form(draw_pairs, degree):
-    total = Form.zero(GENS, degree)
+def random_form(draw_pairs, degree, gens=GENS):
+    total = Form.zero(gens, degree)
     for mono, c in draw_pairs:
-        total = total + Form.monomial(GENS, mono, c)
+        total = total + Form.monomial(gens, mono, c)
     return total
 
 
-def forms(degree, max_terms=3):
-    monos = list(itertools.combinations(GENS, degree))
+def forms(degree, max_terms=3, gens=GENS):
+    monos = list(itertools.combinations(gens, degree))
     return hs.lists(
         hs.tuples(hs.sampled_from(monos), coeffs), max_size=max_terms
-    ).map(lambda pairs: random_form(pairs, degree))
+    ).map(lambda pairs: random_form(pairs, degree, gens))
 
 
 @given(forms(1), forms(1), forms(2))
@@ -67,6 +70,26 @@ def test_wedge_square_of_one_form_vanishes(x):
 def test_unknown_generator_rejected():
     with pytest.raises(UnknownGenerator):
         Form.monomial(GENS, ("g1", "nope"), 1)
+
+
+def test_coefficient_of_unknown_generator_rejected():
+    with pytest.raises(UnknownGenerator):
+        Form.generator(GENS, "g1").coefficient(("g1", "nope"))
+
+
+@pytest.mark.parametrize("degree, terms, error", [
+    (2, {(1, 0): 1}, ValueError),          # unsorted
+    (2, {(1, 1): 1}, ValueError),          # repeated
+    (2, {(0,): 1}, ValueError),            # wrong length
+    (1, {(7,): 1}, UnknownGenerator),      # out of range
+    (1, {(-1,): 1}, UnknownGenerator),
+    (1, {(0,): 0.5}, TypeError),           # float coefficient
+    (2, {(1, 0): 0}, ValueError),          # checked even when its coefficient is zero
+    (1, {(7,): 0}, UnknownGenerator),
+])
+def test_constructor_checks_forms_from_outside(degree, terms, error):
+    with pytest.raises(error):
+        Form(GENS, degree, terms)
 
 
 def test_degree_mismatch_rejected():
@@ -185,3 +208,49 @@ def test_wedge_all_volume():
     cf = _cyclic_coframe()
     vol = wedge_all([cf.gen("g1"), cf.gen("g2"), cf.gen("g3"), cf.gen("t")])
     assert vol == cf.mono(("g1", "g2", "g3", "t"), 1)
+
+
+# a sheared frame X_i = g_i + c g_(i+1): triangular with unit diagonal,
+# so it spans the coframe, and its expansions mix generators
+FRAME = tuple("X%d" % (i + 1) for i in range(7))
+SHEAR = OrthoFrame(FRAME, [
+    Form.generator(GENS, g) + (Form.generator(GENS, h, c) if h else Form.zero(GENS, 1))
+    for g, h, c in zip(GENS, GENS[1:] + (None,), (1, c_k(2), -2, s_k(1), LAM, 3, 0))
+])
+
+
+@given(hs.integers(0, 3), hs.integers(0, 3), coeffs, hs.data())
+@settings(derandomize=True, max_examples=40)
+def test_expand_is_an_algebra_map(p, q, c, data):
+    x, z = data.draw(forms(p, gens=FRAME)), data.draw(forms(p, gens=FRAME))
+    y = data.draw(forms(q, gens=FRAME))
+    e = SHEAR.expand
+    assert e(x.wedge(y)) == e(x).wedge(e(y))
+    assert e(x + z) == e(x) + e(z)
+    assert e(Form.scalar(FRAME, c)) == Form.scalar(GENS, c)
+
+
+def _assert_no_zero_stored(x):
+    assert all(not c.is_zero() for c in x.terms.values())
+
+
+def test_form_arithmetic_skips_the_public_constructor(monkeypatch):
+    cf = _cyclic_coframe()
+    u = cf.gen("g1", c_k(1)) + cf.gen("g2")
+    v = cf.gen("g1", c_k(1)) - cf.gen("t", s_k(2))
+    w = cf.mono(("g1", "t"), s_k(3)) + cf.mono(("g2", "g3"), 2)
+    frame_x = Form.generator(FRAME, "X1") + Form.generator(FRAME, "X2", -c_k(2))
+    so5, e24 = E(1, 2) + E(2, 3).scale(LAM), E(2, 4)
+
+    def refuse(self, gens, degree, terms):
+        raise AssertionError("a result of form arithmetic was re-checked")
+
+    monkeypatch.setattr(exterior.Form, "__init__", refuse)
+    # u ^ u, d(d(u)), u - u and [so5, so5] cancel every term they make
+    for got in (
+        u + v, u - v, u - u, -u, u.scale(c_k(3)), u.wedge(v), u.wedge(u), w.wedge(w),
+        orbit_d(w, cf), ext_d(u, cf), ext_d(ext_d(u, cf), cf), *dt_split(w, cf),
+        hodge_star(frame_x, SHEAR), SHEAR.expand(frame_x), SHEAR.expand(frame_x.wedge(frame_x)),
+        bracket(so5, e24), bracket(so5, so5),
+    ):
+        _assert_no_zero_stored(got)

@@ -1,7 +1,11 @@
 """Exact scalar tower: field arithmetic, trig ring, parameter polynomials."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -18,6 +22,7 @@ from g2cal.scalars import (
     TRIG_ONE,
     TRIG_ZERO,
     ParamPoly,
+    POLY_ZERO,
     LAM,
     A_UNK,
     B_UNK,
@@ -403,3 +408,21 @@ def test_arithmetic_skips_the_public_constructors(monkeypatch):
         p.bind({"lam": 2, "a": alg(0, 1)}),
     ):
         _assert_no_zero_stored(got)
+
+
+def test_equal_values_hash_alike_across_the_tower():
+    assert len({1, Fraction(1), alg(1), TRIG_ONE, ParamPoly.const(1)}) == 1
+    assert {hash(x) for x in (0, ALG_ZERO, TRIG_ZERO, POLY_ZERO)} == {0}
+    half = Fraction(-1, 2)
+    assert len({half, alg(half), TrigScalar.const(half), ParamPoly.const(half)}) == 1
+    # int and Fraction hashes do not depend on PYTHONHASHSEED, so neither
+    # does the hash of a non-constant value built from them
+    src = str(Path(scalars.__file__).resolve().parents[1])
+    code = ("from g2cal.scalars import *; "
+            "print(hash(SQRT3 + 1), hash(s_k(2)), hash(LAM * c_k(2) + MU))")
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True).stdout)
+    assert len(outs) == 1

@@ -7,6 +7,7 @@ a method that moved to a base class would break every traced run.
 import importlib.util
 import pathlib
 
+from g2cal.exterior import Form
 from g2cal.scalars import LAM, ParamPoly, TrigScalar
 
 _TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -31,3 +32,17 @@ def test_tracer_counts_scalar_products():
     assert counts.get("scalars.param_mul") == 1
     assert counts.get("scalars.trig_mul", 0) >= 1
     assert {cls: dict(vars(cls)) for cls in (TrigScalar, ParamPoly)} == before
+
+
+def test_tracer_counts_a_direct_wedge():
+    x, y = Form.generator(("g1", "g2"), "g1"), Form.generator(("g1", "g2"), "g2", LAM)
+    before = dict(vars(Form))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        x.wedge(y)
+        counts = tracer.take()["counts"]
+    finally:
+        tracer.uninstall()
+    assert counts.get("exterior.wedge") == 1
+    assert dict(vars(Form)) == before
