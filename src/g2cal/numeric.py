@@ -9,11 +9,12 @@ numpy arrays, so many points are evaluated at once.  _coefficients is the
 one walk of the residual forms: it lists the (r0, r1) coefficient pairs
 by sample, system and monomial, taking max(1, 2**14 // points) t samples
 per evaluation, and the least-squares sums, fitted mu, max-norm and
-Gauss-Newton rows are read off that list.  The sweep screens each lambda
+Gauss-Newton rows are read off that list.  The sweep screens every lambda
 slice with least-squares sums interpolated from Chebyshev nodes in (a, b),
 exact since they have low degree there, and evaluates directly only where
-a hit or the slice minimum can be.  It polishes the best grid minima by
-Gauss-Newton in (lam, a, b, mu).
+a hit or the slice minimum can be.  Consecutive slices share each of those
+evaluations, lam an array axis, up to _PACK_SAMPLES point-samples at a
+time.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu).
 """
 
 from __future__ import annotations
@@ -315,7 +316,7 @@ _LAM_FLOOR = 1e-3
 # Interpolation nodes per mesh axis.  At fixed (lam, t) each Z_k is affine
 # in a and in b, so every r0 and r1 coefficient has degree <= 3 in each,
 # and the least-squares sums of two of them degree <= 6: 7 nodes per axis
-# give those sums exactly.  _scan_slice checks this on every slice.
+# give those sums exactly.  _screen checks this on every slice.
 _NODES = 7
 # Sums beyond this take the direct mesh path: near overflow a direct
 # residual may be inf or NaN where its interpolated sums are not.
@@ -345,54 +346,129 @@ def _hit(lam, a, b, mu, res):
     return dict(lam=float(lam), a=float(a), b=float(b), mu=float(mu), residual=float(res), count=1)
 
 
-def _scan_slice(which, system, lam, avals, bvals, t_samples, tolerance):
-    """Grid hits and the max-norm minimum of the lam slice avals x bvals.
+# Point-samples per evaluation of the screen: consecutive lambda slices
+# share one evaluation until the next slice would pass this budget, and a
+# larger slice (a whole-mesh fallback, say) is evaluated alone.
+_PACK_SAMPLES = 2048
 
-    Returns (hits, (res, lam, a, b, mu)), the same as best_mu_residual on
-    the whole mesh with ties taken in row-major order.  The least-squares
-    sums are taken at _NODES x _NODES nodes and interpolated to the mesh,
-    giving ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
+
+def _packs(items, size):
+    """Consecutive items in lists of total size at most _PACK_SAMPLES; an
+    item larger than that makes a list of its own."""
+    pack, total = [], 0
+    for item in items:
+        n = size(item)
+        if pack and total + n > _PACK_SAMPLES:
+            yield pack
+            pack, total = [], 0
+        pack.append(item)
+        total += n
+    if pack:
+        yield pack
+
+
+def _interpolate(la, lb, node_sums):
+    """(num, den, s00, mu, ss) on one slice's mesh from its node sums."""
+    num, den, s00 = (la @ s @ lb.T for s in node_sums)
+    mu = _fit_mu(num, den)
+    return num, den, s00, mu, s00 - mu * num
+
+
+def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
+    """Grid hits and the max-norm minimum of each lam slice avals x bvals.
+
+    lams is an array.  Returns [(hits, (res, lam, a, b, mu))], one entry
+    per lam, each the same as best_mu_residual on that slice's whole mesh
+    with ties taken in row-major order.  The least-squares sums are taken
+    at _NODES x _NODES nodes and interpolated to the mesh, giving
+    ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
     max^2 <= ss <= n·max^2, so once the ss-argmin's max-norm M0 is known,
     only points with ss <= n·max(M0, tolerance)^2 can be a hit or the
-    minimum; best_mu_residual evaluates just those (all points when the
-    sums near overflow, see _SUM_CEILING).  Raises ArithmeticError
-    when the sums interpolated at the ss-argmin disagree with a direct
+    minimum; just those are evaluated directly (all points when the sums
+    near overflow, see _SUM_CEILING).  Each of the three evaluations (node
+    sums, ss-argmins, candidates) takes the slices in _packs, lam an array
+    axis; sums at one point do not depend on the batch, so every slice
+    gets the bits it would alone.  Raises ArithmeticError at the first
+    slice whose sums interpolated at the ss-argmin disagree with a direct
     evaluation there, since then the degree bound behind _NODES is wrong.
     """
     a_nodes, la = _interpolator(avals)
     b_nodes, lb = _interpolator(bvals)
-    nodes = _coefficients(which, system, lam, a_nodes[:, None], b_nodes[None, :], t_samples)
-    node_sums = _lsq(nodes, squares=True)
-    scales = [np.max(np.abs(s)) for s in node_sums]
-    if not max(scales) < _SUM_CEILING:
-        ia, ib = np.indices((avals.size, bvals.size)).reshape(2, -1)
-    else:
-        num, den, s00 = (la @ s @ lb.T for s in node_sums)
-        mu = _fit_mu(num, den)
-        ss = s00 - mu * num
-        i0, j0 = np.unravel_index(np.argmin(ss), ss.shape)
-        at_min = _coefficients(which, system, lam, avals[i0], bvals[j0], t_samples)
+    samples = len(t_samples)
+    node_sums, n = [], 0
+    for pack in _packs(range(lams.size), lambda k: a_nodes.size * b_nodes.size * samples):
+        nodes = _coefficients(
+            which, system, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
+        )
+        node_sums.extend(zip(*_lsq(nodes, squares=True)))
+        n = len(nodes)
+        del nodes  # released before the next pack is built
+    # per slice: None for the whole mesh, else the scales of its node sums,
+    # its ss-argmin and the interpolated sums there
+    screens = []
+    for sums in node_sums:
+        scales = [np.max(np.abs(s)) for s in sums]
+        if not max(scales) < _SUM_CEILING:
+            screens.append(None)
+            continue
+        num, den, s00, _, ss = _interpolate(la, lb, sums)
+        at = np.unravel_index(np.argmin(ss), ss.shape)
+        screens.append((scales, at, (num[at], den[at], s00[at])))
+    limits = {}  # n·max(M0, tolerance)^2 per screened slice
+    for pack in _packs([k for k, screen in enumerate(screens) if screen], lambda k: samples):
+        i0, j0 = np.transpose([screens[k][1] for k in pack])
+        at_min = _coefficients(which, system, lams[pack], avals[i0], bvals[j0], t_samples)
         direct = _lsq(at_min, squares=True)
-        for name, s, d, scale in zip(("num", "den", "s00"), (num, den, s00), direct, scales):
-            if not abs(s[i0, j0] - d) <= _SUM_RTOL * max(scale, abs(d)):
-                raise ArithmeticError(
-                    "interpolated %s = %.17g but direct %.17g at lam=%g a=%g b=%g:"
-                    " the mesh sums exceed degree %d"
-                    % (name, s[i0, j0], d, lam, avals[i0], bvals[j0], _NODES - 1)
-                )
         m0 = _max_norm(at_min, _fit_mu(*direct[:2]))
+        del at_min  # and not held through the candidates
+        for p, k in enumerate(pack):
+            scales, _, interpolated = screens[k]
+            for name, s, d, scale in zip(("num", "den", "s00"), interpolated, direct, scales):
+                if not abs(s - d[p]) <= _SUM_RTOL * max(scale, abs(d[p])):
+                    raise ArithmeticError(
+                        "interpolated %s = %.17g but direct %.17g at lam=%g a=%g b=%g:"
+                        " the mesh sums exceed degree %d"
+                        % (name, s, d[p], lams[k], avals[i0[p]], bvals[j0[p]], _NODES - 1)
+                    )
+            limits[k] = n * max(m0[p], tolerance) ** 2
+
+    def candidates(k):
+        """(ia, ib): the mesh points of slice k to evaluate directly."""
+        if screens[k] is None:
+            return np.indices((avals.size, bvals.size)).reshape(2, -1)
+        scales = screens[k][0]
+        _, _, _, mu, ss = _interpolate(la, lb, node_sums[k])
         # rounding of the interpolated ss, to first order in each sum
         slack = _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
-        ia, ib = np.nonzero(ss <= len(nodes) * max(m0, tolerance) ** 2 + slack)
-    mu, res = best_mu_residual(which, system, lam, avals[ia], bvals[ib], t_samples)
-    hits = [
-        _hit(lam, avals[i], bvals[j], mu[k], res[k])
-        for k, (i, j) in enumerate(zip(ia, ib))
-        if res[k] < tolerance
-    ]
-    k = int(np.argmin(res))
-    minimum = (float(res[k]), lam, float(avals[ia[k]]), float(bvals[ib[k]]), float(mu[k]))
-    return hits, minimum
+        return np.nonzero(ss <= limits[k] + slack)
+
+    out = []
+    slices = ((k, *candidates(k)) for k in range(lams.size))
+    for pack in _packs(slices, lambda c: c[1].size * samples):
+        if len(pack) > 1:
+            ks, ias, ibs = zip(*pack)
+            lam = np.repeat(lams[list(ks)], [ia.size for ia in ias])
+            ia, ib = np.concatenate(ias), np.concatenate(ibs)
+        else:
+            # a slice alone keeps lam a scalar, and with it the coefficients
+            # that depend on lam only, which a per-point lam makes arrays
+            ((k, ia, ib),) = pack
+            lam = float(lams[k])
+        a, b = avals[ia], bvals[ib]
+        mu, res = best_mu_residual(which, system, lam, a, b, t_samples)
+        stop = 0
+        for k, ia, _ in pack:
+            part = slice(stop, stop + ia.size)
+            out.append(_slice_result(float(lams[k]), a[part], b[part], mu[part], res[part], tolerance))
+            stop = part.stop
+    return out
+
+
+def _slice_result(lam, a, b, mu, res, tolerance):
+    """(hits, minimum) of one slice from its directly evaluated points."""
+    hits = [_hit(lam, a[q], b[q], mu[q], res[q]) for q in np.flatnonzero(res < tolerance)]
+    q = int(np.argmin(res))
+    return hits, (float(res[q]), lam, float(a[q]), float(b[q]), float(mu[q]))
 
 
 def _residual_rows(which, system, points, t_samples):
@@ -474,10 +550,11 @@ def numeric_sweep(
     between grid points are still recovered within a cell.  Polished
     zeros closer than one cell are one hit: the lowest-residual point,
     with count the number of polishes that met it.
-    Lambda slices with |lam| <= _LAM_FLOOR are skipped.  Each slice is
-    screened by _scan_slice, which evaluates directly only the mesh points
-    that can be a hit or the slice's minimum, so hits and minima are those
-    of best_mu_residual on the whole mesh.
+    Lambda slices with |lam| <= _LAM_FLOOR are skipped.  The slices are
+    screened together by _screen, which evaluates directly only the mesh
+    points that can be a hit or a slice's minimum, in packs of consecutive
+    slices of at most _PACK_SAMPLES point-samples, so hits and minima are
+    those of best_mu_residual on each slice's whole mesh.
     A box whose mesh cannot be built raises a ValueError (MeshTooLarge
     when it is too large) before any work.
     """
@@ -489,10 +566,9 @@ def numeric_sweep(
     bvals = _grid(*b_range, resolution)
     hits = []
     minima = []
-    for lam in lams[np.abs(lams) > _LAM_FLOOR]:
-        slice_hits, minimum = _scan_slice(
-            which, system, float(lam), avals, bvals, t_samples, tolerance
-        )
+    for slice_hits, minimum in _screen(
+        which, system, lams[np.abs(lams) > _LAM_FLOOR], avals, bvals, t_samples, tolerance
+    ):
         hits.extend(slice_hits)
         minima.append(minimum)
     if not hits and minima:

@@ -294,18 +294,29 @@ def test_sweep_recovers_s7_canonical_point(capsys):
     assert max(abs(hit[k] - w) for k, w in zip(("lam", "a", "b", "mu"), want)) < 1e-6
 
 
-def test_sweep_s7_default_box_matches_golden(capsys):
-    golden = json.loads((Path(__file__).parent / "golden" / "sweep-s7-squashed.json").read_text())
-    code, out, _ = run(capsys, "sweep", "--space", "s7-squashed", "--format", "json")
+def _check_sweep_golden(capsys, name, *args):
+    golden = json.loads((Path(__file__).parent / "golden" / name).read_text())
+    code, out, _ = run(capsys, "sweep", *args, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     got, want = payload.pop("hits"), golden.pop("hits")
     assert payload == golden
-    # the residuals are ulp noise around 1e-16 and are not pinned
+    # the residuals are rounding noise and are not pinned
     assert [{k: h[k] for k in ("lam", "a", "b", "count")} for h in got] == [
         {k: h[k] for k in ("lam", "a", "b", "count")} for h in want
     ]
     assert max(abs(g["mu"] - w["mu"]) for g, w in zip(got, want)) <= 1e-9
+
+
+def test_sweep_s7_default_box_matches_golden(capsys):
+    _check_sweep_golden(capsys, "sweep-s7-squashed.json", "--space", "s7-squashed")
+
+
+def test_sweep_b7_bench_box_matches_golden(capsys):
+    # the benchmark's b7 box has no grid hit: its one hit is the polish's,
+    # the joint zero (2/sqrt5, 1/2, 0) met by all five polished minima
+    _check_sweep_golden(capsys, "sweep-b7-bench.json", "--space", "b7",
+                        "--lambda-min", "0.8", "--lambda-max", "1.0")
 
 
 def test_import_does_not_load_numpy():

@@ -1,6 +1,7 @@
 """Cross-checks between the exact engine and the float evaluator."""
 
 import ast
+import collections
 import math
 import pathlib
 import sys
@@ -307,19 +308,27 @@ def test_grid_mesh_keeps_per_sample_sums():
 
 @pytest.mark.parametrize("which", ["s7", "b7"])
 def test_batched_points_match_scalar_calls(which):
+    # the sweep's screen packs slices with lam on an array axis: for each
+    # system, each point's fitted mu and max-norm must be the bits of a
+    # call on the point alone, whatever else shares its batch
     rng = np.random.default_rng(5)
-    lam = rng.uniform(0.5, 1.5, 6)
-    a = rng.uniform(-1.0, 1.0, 6)
-    b = rng.uniform(-1.0, 1.0, 6)
+    lam, a, b = rng.uniform(0.5, 1.5, 6), rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, 6)
+    # the six points are also shuffled among six others in a 3 x 4 batch
+    others = rng.uniform((0.5, -1.0, -1.0), (1.5, 1.0, 1.0), (6, 3)).T
+    order = rng.permutation(12)
+    mixed = [np.concatenate([x, y])[order].reshape(3, 4) for x, y in zip((lam, a, b), others)]
     samples = numeric.default_t_samples()
-    mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
-    assert mu.shape == res.shape == (6,)
-    for k in range(6):
-        mu_k, res_k = numeric.best_mu_residual(
-            which, "both", float(lam[k]), float(a[k]), float(b[k]), samples
-        )
-        assert abs(mu[k] - mu_k) < 1e-12
-        assert abs(res[k] - res_k) < 1e-12
+    for system in ("nhf", "flow", "both"):
+        mu, res = numeric.best_mu_residual(which, system, lam, a, b, samples)
+        assert mu.shape == res.shape == (6,)
+        mixed_mu, mixed_res = numeric.best_mu_residual(which, system, *mixed, samples)
+        for k in range(6):
+            alone = numeric.best_mu_residual(
+                which, system, float(lam[k]), float(a[k]), float(b[k]), samples
+            )
+            assert (mu[k], res[k]) == alone, system
+            at = np.unravel_index(np.argsort(order)[k], (3, 4))
+            assert (mixed_mu[at], mixed_res[at]) == alone, system
 
 
 def test_polish_is_batched_and_hits_merge(monkeypatch):
@@ -389,6 +398,27 @@ def test_refine_stops_on_non_finite_residual(start):
     assert not res < 1e-6
 
 
+def _record(monkeypatch, name):
+    """The argument tuples of every later call of numeric.<name>."""
+    calls = []
+    function = getattr(numeric, name)
+
+    def recording(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(numeric, name, recording)
+    return calls
+
+
+def _points_per_slice(calls):
+    """{lam: points} over best_mu_residual calls, whose lam is per point."""
+    count = collections.Counter()
+    for _, _, lam, a, b, _ in calls:
+        count.update(np.broadcast_to(lam, np.broadcast(lam, a, b).shape).ravel().tolist())
+    return count
+
+
 def _direct_slice(which, system, lam, avals, bvals, samples, tolerance):
     """Hits and minimum of one slice from best_mu_residual on the whole mesh."""
     mu, res = numeric.best_mu_residual(
@@ -421,10 +451,11 @@ def test_screened_slices_match_direct_mesh(which, system, lams, a_range, b_range
     samples = numeric.default_t_samples()
     avals = numeric._grid(*a_range, res)
     bvals = numeric._grid(*b_range, res)
-    for lam in numeric._grid(*lams, res):
-        lam = float(lam)
-        got = numeric._scan_slice(which, system, lam, avals, bvals, samples, 1e-6)
-        assert got == _direct_slice(which, system, lam, avals, bvals, samples, 1e-6)
+    lams = numeric._grid(*lams, res)
+    got = numeric._screen(which, system, lams, avals, bvals, samples, 1e-6)
+    assert got == [
+        _direct_slice(which, system, float(lam), avals, bvals, samples, 1e-6) for lam in lams
+    ]
 
 
 @pytest.mark.parametrize(
@@ -444,9 +475,28 @@ def test_overflowing_slice_matches_direct_mesh(which, system, lam):
     avals = numeric._grid(-1.0, 1.0, 0.1)
     bvals = numeric._grid(-1.5, 0.5, 0.1)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = numeric._scan_slice(which, system, lam, avals, bvals, samples, 1e-6)
+        got = numeric._screen(which, system, np.array([lam]), avals, bvals, samples, 1e-6)
         want = _direct_slice(which, system, lam, avals, bvals, samples, 1e-6)
-    np.testing.assert_equal(got, want)  # NaN equals NaN here
+    np.testing.assert_equal(got, [want])  # NaN equals NaN here
+
+
+@pytest.mark.parametrize("which, system", [("s7", "nhf"), ("b7", "both")])
+@pytest.mark.parametrize("res, calls", [(0.1, 3), (0.2, 1)], ids=["alone", "shared"])
+def test_overflowing_slice_in_a_pack_matches_direct_mesh(monkeypatch, which, system, res, calls):
+    # an overflowing slice between ordinary ones shares their node-sum
+    # pack; its whole mesh is evaluated alone on the 21 x 21 mesh, and with
+    # both neighbours' candidates on the 11 x 11 one, without touching
+    # their bits
+    samples = numeric.default_t_samples()
+    avals = numeric._grid(-1.0, 1.0, res)
+    bvals = numeric._grid(-1.5, 0.5, res)
+    lams = np.array([0.9, 1e150, 1.1])
+    evaluated = _record(monkeypatch, "best_mu_residual")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = numeric._screen(which, system, lams, avals, bvals, samples, 1e-6)
+        want = [_direct_slice(which, system, lam, avals, bvals, samples, 1e-6) for lam in lams]
+    np.testing.assert_equal(got, want)
+    assert len(evaluated) == calls + len(lams)  # the screen's, then the reference's
 
 
 def test_refine_keeps_far_starts_in_the_box_and_the_sign_of_lam():
@@ -468,18 +518,51 @@ def test_refine_keeps_far_starts_in_the_box_and_the_sign_of_lam():
 def test_screen_evaluates_few_points_where_zeros_are_lines(monkeypatch):
     # each s7 nhf slice of the default mesh holds four zeros, (0, 0),
     # (0, -1) and (+-2, 1); the direct evaluation covers only a few of
-    # its 121 x 81 points
-    sizes = []
-    evaluate = numeric.best_mu_residual
-
-    def counting(which, system, lam, a, b, t_samples):
-        sizes.append(np.size(np.broadcast(a, b)) if np.ndim(a) else 1)
-        return evaluate(which, system, lam, a, b, t_samples)
-
-    monkeypatch.setattr(numeric, "best_mu_residual", counting)
+    # its 121 x 81 points, however the slices are packed
+    evaluated = _record(monkeypatch, "best_mu_residual")
     hits = numeric.numeric_sweep("s7", "nhf", lambda_range=(0.5, 0.6))
     assert len(hits) == 3 * 4
-    assert sizes and max(sizes) <= 10
+    per_slice = _points_per_slice(evaluated)
+    assert len(per_slice) == 3
+    assert max(per_slice.values()) <= 10
+
+
+@pytest.mark.parametrize(
+    "which, system, box",
+    [
+        ("s7", "nhf", dict(lambda_range=(0.5, 0.7))),
+        ("b7", "both", dict(lambda_range=(0.85, 0.95), a_range=(0.0, 1.0), b_range=(-0.5, 0.5))),
+    ],
+    ids=["s7-grid", "b7-polish"],
+)
+def test_slices_past_the_budget_match_one_slice_per_pack(monkeypatch, which, system, box):
+    # with 300 samples one slice's 7 x 7 nodes hold 14700 point-samples,
+    # more than the budget, so each is evaluated alone; the ss-argmins
+    # still share packs.  A budget of 0 puts every slice in a pack of its own
+    samples = numeric.default_t_samples(300)
+    assert numeric._NODES**2 * len(samples) > numeric._PACK_SAMPLES
+    hits = numeric.numeric_sweep(which, system, t_samples=samples, **box)
+    assert hits
+    monkeypatch.setattr(numeric, "_PACK_SAMPLES", 0)
+    assert numeric.numeric_sweep(which, system, t_samples=samples, **box) == hits
+
+
+@pytest.mark.parametrize(
+    "which, system, box, most_calls",
+    [("s7", "nhf", {}, 30), ("b7", "both", dict(lambda_range=(0.8, 1.0)), None)],
+    ids=["s7-squashed", "b7-bench"],
+)
+def test_packs_bound_each_evaluation(monkeypatch, which, system, box, most_calls):
+    # no evaluation is larger than the budget or than the largest slice's
+    # own candidates, and the s7 box's 39 slices take few evaluations
+    samples = numeric.default_t_samples()
+    parts = _record(monkeypatch, "_system_parts")
+    evaluated = _record(monkeypatch, "best_mu_residual")
+    assert numeric.numeric_sweep(which, system, **box)
+    sizes = [np.broadcast(*args[2:]).size for args in parts]  # lam, a, b, t
+    largest_slice = max(_points_per_slice(evaluated).values()) * len(samples)
+    assert sizes and max(sizes) <= max(numeric._PACK_SAMPLES, largest_slice)
+    assert most_calls is None or len(sizes) <= most_calls
 
 
 def test_wrong_degree_bound_raises(monkeypatch):
@@ -522,7 +605,7 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
     def never(*args):
         raise AssertionError("a slice was scanned")
 
-    monkeypatch.setattr(numeric, "_scan_slice", never)
+    monkeypatch.setattr(numeric, "_screen", never)
     with pytest.raises(numeric.MeshTooLarge) as exc:
         numeric.numeric_sweep("b7", "both", **box)
     assert isinstance(exc.value, ValueError)
@@ -547,7 +630,7 @@ def test_sweep_rejects_malformed_box(monkeypatch, box, message):
         raise AssertionError("the mesh was built")
 
     monkeypatch.setattr(numeric, "_grid", never)
-    monkeypatch.setattr(numeric, "_scan_slice", never)
+    monkeypatch.setattr(numeric, "_screen", never)
     with pytest.raises(ValueError) as exc:
         numeric.numeric_sweep("b7", "nhf", **box)
     assert not isinstance(exc.value, numeric.MeshTooLarge)
