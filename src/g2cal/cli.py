@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -25,9 +24,6 @@ SPACES = (
     "gram-blocks",
     "lie-checks",
 )
-
-COMMANDS = ("verify", "sweep", "constraints", "report-all")
-
 
 # -- space runners ---------------------------------------------------------------
 
@@ -98,6 +94,13 @@ _FAMILY_OF_SPACE = {
     "s7-canonical": ("s7", "both"),
     "b7": ("b7", "both"),
 }
+
+
+def _family_of(space):
+    """(family, system) of a space; a usage error when it has none."""
+    if space not in _FAMILY_OF_SPACE:
+        raise SystemExit("space %r has no parametric family" % space)
+    return _FAMILY_OF_SPACE[space]
 
 
 # -- rendering --------------------------------------------------------------------
@@ -193,10 +196,7 @@ def _cmd_report_all(cfg):
 
 def _cmd_constraints(cfg):
     space = cfg.get("space")
-    if space not in _FAMILY_OF_SPACE:
-        sys.stderr.write("space %r has no parametric family\n" % space)
-        return 2
-    which, system = _FAMILY_OF_SPACE[space]
+    which, system = _family_of(space)
     cons = st.system_constraints(st.AnsatzFamily(which), system)
     rendered = [p.render() for p in cons]
     payload = {"space": space, "family": which, "system": system,
@@ -207,27 +207,10 @@ def _cmd_constraints(cfg):
 
 def _cmd_sweep(cfg):
     space = cfg.get("space")
-    if space not in _FAMILY_OF_SPACE:
-        sys.stderr.write("space %r has no parametric family\n" % space)
-        return 2
-    for name in ("lambda", "a", "b"):
-        for end in ("min", "max"):
-            if not math.isfinite(cfg["%s-%s" % (name, end)]):
-                sys.stderr.write("--%s-%s must be finite\n" % (name, end))
-                return 2
-        if not cfg[name + "-min"] <= cfg[name + "-max"]:
-            sys.stderr.write("empty box: --%s-min exceeds --%s-max\n" % (name, name))
-            return 2
-    for name in ("resolution", "tolerance"):
-        if not cfg[name] > 0:
-            sys.stderr.write("--%s must be positive\n" % name)
-            return 2
-    if cfg["t-samples"] < 1:
-        sys.stderr.write("--t-samples must be at least 1\n")
-        return 2
+    which, system = _family_of(space)
     from . import numeric  # numpy is needed by sweep only
 
-    which, system = _FAMILY_OF_SPACE[space]
+    # the library checks every argument; its refusals are usage errors
     try:
         hits = numeric.numeric_sweep(
             which,
@@ -239,13 +222,8 @@ def _cmd_sweep(cfg):
             tolerance=cfg["tolerance"],
             t_samples=numeric.default_t_samples(cfg["t-samples"]),
         )
-    except numeric.MeshTooLarge as exc:
-        if exc.axis:
-            sys.stderr.write("--%s-min to --%s-max spans over %d --resolution steps\n"
-                             % (exc.axis, exc.axis, numeric.MAX_MESH))
-        else:
-            sys.stderr.write("a lambda slice of %d mesh points exceeds %d; raise --resolution\n"
-                             % (exc.points, numeric.MAX_MESH))
+    except numeric.SweepInputError as exc:
+        sys.stderr.write("%s\n" % exc)
         return 2
     hits = [
         {k: v if k == "count" else _round12(v) for k, v in h.items()}
@@ -256,6 +234,14 @@ def _cmd_sweep(cfg):
              " count=%(count)d" % h for h in hits]
     _emit(payload, cfg["format"], cfg.get("output"), lines or ["no hits"])
     return 0
+
+
+COMMANDS = {
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+    "constraints": _cmd_constraints,
+    "report-all": _cmd_report_all,
+}
 
 
 _DEFAULTS = {
@@ -333,16 +319,10 @@ def resolve_config(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a bad config or an unwritable --output is a usage error
+    # a bad config, a space without a family or an unwritable --output is
+    # a usage error
     try:
-        cfg = resolve_config(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(cfg)
-        if args.command == "report-all":
-            return _cmd_report_all(cfg)
-        if args.command == "constraints":
-            return _cmd_constraints(cfg)
-        return _cmd_sweep(cfg)
+        return COMMANDS[args.command](resolve_config(args, parser))
     except SystemExit as exc:
         sys.stderr.write("%s\n" % exc)
         return 2

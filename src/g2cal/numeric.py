@@ -15,6 +15,8 @@ exact since they have low degree there, and evaluates directly only where
 a hit or the slice minimum can be.  Consecutive slices share each of those
 evaluations, lam an array axis, up to _PACK_SAMPLES point-samples at a
 time.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu).
+numeric_sweep checks every argument first, in _check_inputs, and refuses a
+bad one with SweepInputError, a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def best_mu_residual(which, system, lam, a, b, t_samples):
 
 def default_t_samples(count=9):
     """Samples strictly inside (0, pi/3), away from the singular orbits."""
-    step = math.pi / 3.0 / (count + 1)
+    step = math.pi / 3.0 / (_t_count(count) + 1)
     return [step * (j + 1) for j in range(count)]
 
 
@@ -267,40 +269,48 @@ def default_t_samples(count=9):
 MAX_MESH = 10**6
 
 
-class MeshTooLarge(ValueError):
-    """A sweep box too large to build.
-
-    axis is "lambda", "a" or "b" when that axis spans MAX_MESH or more
-    resolution steps; otherwise axis is None and points is the size of
-    one lambda slice's mesh, which exceeds MAX_MESH.
-    """
-
-    def __init__(self, axis=None, points=None):
-        self.axis, self.points = axis, points
-        super().__init__(
-            "%s_range spans %d or more resolution steps" % (axis, MAX_MESH) if axis
-            else "a lambda slice of %d mesh points exceeds %d" % (points, MAX_MESH)
-        )
+class SweepInputError(ValueError):
+    """An argument that numeric_sweep refuses; the message names it."""
 
 
-def _check_mesh(ranges, resolution):
-    """Raise a ValueError naming the parameter unless the (lambda, a, b)
-    box's mesh can be built: the resolution must be positive, each range's
-    bounds finite with lo <= hi, and the mesh not too large (MeshTooLarge)."""
-    if not resolution > 0:  # also NaN
-        raise ValueError("resolution must be positive, got %r" % (resolution,))
+class MeshTooLarge(SweepInputError):
+    """A sweep box whose mesh is too large to build."""
+
+
+def _t_count(count):
+    """count, if numeric_sweep accepts that many t samples: one slice's
+    _NODES**2 node points are never split, so at most MAX_MESH point-samples."""
+    most = MAX_MESH // _NODES**2
+    if not 1 <= count <= most:
+        raise SweepInputError("t_samples must hold 1 to %d samples, got %d" % (most, count))
+    return count
+
+
+def _check_inputs(ranges, resolution, tolerance, t_samples):
+    """Raise SweepInputError naming the argument unless numeric_sweep can run:
+    tolerance and resolution positive, 1 to MAX_MESH // _NODES**2 t samples,
+    each range finite with lo <= hi and, when lo < hi, more than half a
+    resolution step wide, and the mesh not too large (MeshTooLarge)."""
+    for name, value in (("tolerance", tolerance), ("resolution", resolution)):
+        if not value > 0:  # also NaN
+            raise SweepInputError("%s must be positive, got %r" % (name, value))
+    _t_count(len(t_samples))
     points = []
     for axis, (lo, hi) in zip(("lambda", "a", "b"), ranges):
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("%s_range bounds must be finite, got %r" % (axis, (lo, hi)))
+            raise SweepInputError("%s_range bounds must be finite, got %r" % (axis, (lo, hi)))
         if lo > hi:
-            raise ValueError("%s_range is empty: %r exceeds %r" % (axis, lo, hi))
+            raise SweepInputError("%s_range is empty: %r exceeds %r" % (axis, lo, hi))
         steps = (hi - lo) / resolution
         if not steps < MAX_MESH:  # inf when the span overflows
-            raise MeshTooLarge(axis)
+            raise MeshTooLarge("%s_range spans %d or more resolution steps" % (axis, MAX_MESH))
+        if lo < hi and round(steps) == 0:  # _grid would keep lo alone
+            raise SweepInputError("%s_range %r spans at most half of resolution %r"
+                                  % (axis, (lo, hi), resolution))
         points.append(round(steps) + 1)
     if points[1] * points[2] > MAX_MESH:
-        raise MeshTooLarge(points=points[1] * points[2])
+        raise MeshTooLarge("resolution %r meshes a_range x b_range with %d points, over %d"
+                           % (resolution, points[1] * points[2], MAX_MESH))
 
 
 def _grid(lo, hi, res):
@@ -555,12 +565,12 @@ def numeric_sweep(
     points that can be a hit or a slice's minimum, in packs of consecutive
     slices of at most _PACK_SAMPLES point-samples, so hits and minima are
     those of best_mu_residual on each slice's whole mesh.
-    A box whose mesh cannot be built raises a ValueError (MeshTooLarge
-    when it is too large) before any work.
+    Arguments it refuses raise SweepInputError, a ValueError naming the
+    argument (MeshTooLarge when the mesh is too large), before any work.
     """
-    _check_mesh((lambda_range, a_range, b_range), resolution)
     if t_samples is None:
         t_samples = default_t_samples()
+    _check_inputs((lambda_range, a_range, b_range), resolution, tolerance, t_samples)
     lams = _grid(*lambda_range, resolution)
     avals = _grid(*a_range, resolution)
     bvals = _grid(*b_range, resolution)

@@ -11,8 +11,8 @@ the dt-free and dt parts of the same residual.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
@@ -127,12 +127,14 @@ def beta_forms(cf):
 
 # -- reports -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    status: str                      # "holds" | "fails" | "holds-with-mu"
-    mu: AlgebraicScalar | None = None
-    residual: str | None = None
+class VerificationReport(
+    collections.namedtuple("VerificationReport", "identity status mu residual",
+                           defaults=(None, None))
+):
+    """status is "holds", "fails" or "holds-with-mu"; mu (an
+    AlgebraicScalar) and residual (a str) are None unless given."""
+
+    __slots__ = ()
 
     def ok(self):
         return self.status in ("holds", "holds-with-mu")

@@ -252,29 +252,83 @@ def test_sweep_command(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--resolution", "0"), "--resolution"),
-    (("--resolution", "-0.1"), "--resolution"),
-    (("--lambda-min", "2", "--lambda-max", "1"), "--lambda-min"),
-    (("--t-samples", "0"), "--t-samples"),
-    (("--tolerance", "0"), "--tolerance"),
-    (("--tolerance", "-0.001"), "--tolerance"),
-    (("--tolerance", "nan"), "--tolerance"),
-    (("--a-max", "inf"), "--a-max must be finite"),
-    (("--lambda-min", "nan"), "--lambda-min must be finite"),
-    (("--b-min=-inf",), "--b-min must be finite"),
-    (("--a-min=-1e308", "--a-max=1e308"), "--a-min to --a-max spans over 1000000"),
-    (("--a-min=-1e300", "--a-max=1e300"), "--a-min to --a-max spans over 1000000"),
-    (("--resolution", "1e-6"), "--lambda-min to --lambda-max spans over 1000000"),
-    (("--resolution", "0.002"), "slice of 6005001 mesh points exceeds 1000000"),
+    (("--resolution", "0"), "resolution must be positive"),
+    (("--resolution", "-0.1"), "resolution must be positive"),
+    (("--lambda-min", "2", "--lambda-max", "1"), "lambda_range is empty"),
+    (("--t-samples", "0"), "t_samples must hold 1 to 20408 samples"),
+    (("--tolerance", "0"), "tolerance must be positive"),
+    (("--tolerance", "-0.001"), "tolerance must be positive"),
+    (("--tolerance", "nan"), "tolerance must be positive"),
+    (("--a-max", "inf"), "a_range bounds must be finite"),
+    (("--lambda-min", "nan"), "lambda_range bounds must be finite"),
+    (("--b-min=-inf",), "b_range bounds must be finite"),
+    (("--a-min=-1e308", "--a-max=1e308"), "a_range spans 1000000 or more resolution steps"),
+    (("--a-min=-1e300", "--a-max=1e300"), "a_range spans 1000000 or more resolution steps"),
+    (("--resolution", "1e-6"), "lambda_range spans 1000000 or more resolution steps"),
+    (("--resolution", "0.002"),
+     "resolution 0.002 meshes a_range x b_range with 6005001 points, over 1000000"),
+    (("--resolution", "inf"), "lambda_range (0.1, 2.0) spans at most half of resolution inf"),
+    (("--resolution", "5"), "lambda_range (0.1, 2.0) spans at most half of resolution 5.0"),
+    (("--t-samples", "20409"), "t_samples must hold 1 to 20408 samples, got 20409"),
 ], ids=["resolution-zero", "resolution-negative", "inverted-box", "no-t-samples",
         "tolerance-zero", "tolerance-negative", "tolerance-nan", "a-max-inf",
         "lambda-min-nan", "b-min-minus-inf", "a-span-overflows", "a-span-huge",
-        "resolution-tiny", "slice-too-large"])
-def test_sweep_rejects_bad_inputs(capsys, flags, message):
+        "resolution-tiny", "slice-too-large", "resolution-inf", "resolution-coarse",
+        "too-many-t-samples"])
+def test_sweep_rejects_bad_inputs(capsys, monkeypatch, flags, message):
+    # refused before any grid is built or slice screened
+    from g2cal import numeric
+
+    def never(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(numeric, "_grid", never)
+    monkeypatch.setattr(numeric, "_screen", never)
     code, out, err = run(capsys, "sweep", "--space", "b7", *flags)
     assert code == 2
     assert out == ""
     assert message in err and err.count("\n") == 1
+
+
+# Address space of a child sweep: enough to import numpy and refuse, so a
+# regression that builds the t-sample list fails fast with a MemoryError.
+_CHILD_ADDRESS_SPACE = 1536 * 2**20
+
+
+@pytest.mark.parametrize("flags", [
+    ("--resolution", "inf"),
+    ("--t-samples", "100000000"),
+    ("--tolerance", "nan"),
+], ids=["resolution-inf", "t-samples-huge", "tolerance-nan"])
+def test_sweep_refusals_through_entry_point(flags):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "g2cal.cli", "sweep", "--space", "b7", *flags],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        preexec_fn=limit, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_sweep_lets_solver_errors_through(monkeypatch):
+    # only the library's input refusals are usage errors: a failed solve in
+    # the polish is a ValueError too, and must not read as exit 2
+    import numpy as np
+    from g2cal import numeric
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(numeric, "_refine", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["sweep", "--space", "b7", "--lambda-min", "0.8", "--lambda-max", "1.0"])
 
 
 def test_sweep_polishes_negative_lambda(capsys):
@@ -322,10 +376,10 @@ def test_sweep_b7_bench_box_matches_golden(capsys):
 def test_import_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, g2cal.cli; print('numpy' in sys.modules)"
+    code = "import sys, g2cal.cli; print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_report_all_bytes_independent_of_hash_seed():

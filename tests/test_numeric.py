@@ -594,13 +594,16 @@ def test_b7_nhf_default_hits_lie_on_certified_components():
         assert on_i or on_ii or on_iii, h
 
 
-@pytest.mark.parametrize("box, axis, points", [
-    ({"a_range": (-1e300, 1e300)}, "a", None),
-    ({"a_range": (-1e308, 1e308)}, "a", None),   # the span overflows to inf
-    ({"lambda_range": (0.1, 2.0), "resolution": 1e-6}, "lambda", None),
-    ({"resolution": 0.002}, None, 3001 * 2001),
+@pytest.mark.parametrize("box, message", [
+    ({"a_range": (-1e300, 1e300)}, "a_range spans 1000000 or more resolution steps"),
+    # the span overflows to inf
+    ({"a_range": (-1e308, 1e308)}, "a_range spans 1000000 or more resolution steps"),
+    ({"lambda_range": (0.1, 2.0), "resolution": 1e-6},
+     "lambda_range spans 1000000 or more resolution steps"),
+    ({"resolution": 0.002},
+     "resolution 0.002 meshes a_range x b_range with %d points, over 1000000" % (3001 * 2001)),
 ], ids=["a-span-huge", "a-span-overflows", "lambda-span-huge", "slice-too-large"])
-def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
+def test_sweep_rejects_unbuildable_box(monkeypatch, box, message):
     # the library call refuses the box by name before any evaluation
     def never(*args):
         raise AssertionError("a slice was scanned")
@@ -608,10 +611,8 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
     monkeypatch.setattr(numeric, "_screen", never)
     with pytest.raises(numeric.MeshTooLarge) as exc:
         numeric.numeric_sweep("b7", "both", **box)
-    assert isinstance(exc.value, ValueError)
-    assert (exc.value.axis, exc.value.points) == (axis, points)
-    assert str(exc.value).startswith("%s_range spans" % axis if axis
-                                     else "a lambda slice of %d mesh points" % points)
+    assert isinstance(exc.value, numeric.SweepInputError)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("box, message", [
@@ -622,16 +623,35 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, axis, points):
     ({"resolution": math.nan}, "resolution must be positive"),
     ({"b_range": (math.nan, 1.0)}, "b_range bounds must be finite"),
     ({"lambda_range": (0.1, math.inf)}, "lambda_range bounds must be finite"),
+    # _grid would collapse lambda's range to its lower bound
+    ({"resolution": 5.0}, "lambda_range (0.1, 2.0) spans at most half of resolution 5.0"),
+    ({"resolution": math.inf}, "lambda_range (0.1, 2.0) spans at most half of resolution inf"),
+    ({"tolerance": math.nan}, "tolerance must be positive"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": -1.0}, "tolerance must be positive"),
+    ({"t_samples": []}, "t_samples must hold 1 to 20408 samples, got 0"),
+    ({"t_samples": [0.5] * 20409}, "t_samples must hold 1 to 20408 samples, got 20409"),
 ], ids=["a-inverted", "a-inverted-narrow", "resolution-zero", "resolution-negative",
-        "resolution-nan", "b-nan", "lambda-inf"])
+        "resolution-nan", "b-nan", "lambda-inf", "resolution-coarse", "resolution-inf",
+        "tolerance-nan", "tolerance-zero", "tolerance-negative", "t-samples-empty",
+        "t-samples-too-many"])
 def test_sweep_rejects_malformed_box(monkeypatch, box, message):
-    # the library call names the bad parameter before building any grid
+    # the library call names the bad argument before building any grid
     def never(*args):
         raise AssertionError("the mesh was built")
 
     monkeypatch.setattr(numeric, "_grid", never)
     monkeypatch.setattr(numeric, "_screen", never)
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(numeric.SweepInputError) as exc:
         numeric.numeric_sweep("b7", "nhf", **box)
     assert not isinstance(exc.value, numeric.MeshTooLarge)
     assert str(exc.value).startswith(message)
+
+
+def test_sweep_keeps_zero_width_ranges_at_any_resolution():
+    # a range with lo == hi is one grid point, whatever the resolution
+    hits = numeric.numeric_sweep(
+        "s7", "nhf", lambda_range=(0.5, 0.5), a_range=(0.0, 0.0), b_range=(0.0, 0.0),
+        resolution=math.inf, t_samples=numeric.default_t_samples(5),
+    )
+    assert [(h["lam"], h["a"], h["b"]) for h in hits] == [(0.5, 0.0, 0.0)]
