@@ -46,8 +46,7 @@ def _run_s7_canonical():
     phi, frame, cf = st.build_s7_squashed()
     agree = phi == st.canonical_g2_form(frame)
     yield st._report("s7-frame-form-agreement", [] if agree else ["forms differ"])
-    inv = st.Su3Structure(frame.forms[:6]).invariants_check()
-    yield st._report("su3-invariants-s7", [name for name, ok in inv.items() if not ok])
+    yield st.su3_invariants_report(frame.forms[:6], "su3-invariants-s7")
     fam = st.AnsatzFamily(st.AnsatzFamily.S7_STYLE)
     yield st.verify_solution_set(
         fam, "both", [st.s7_canonical_claim()], "s7-canonical-systems"

@@ -377,30 +377,3 @@ def hodge_star(x, of):
         out[comp] = -coeff if odd else coeff
     return Form._made(of.names, n - x.degree, out)
 
-
-def gram_matrix(metric_terms, basis, gens):
-    """Gram matrix of sum coeff * (oneform x oneform) in `basis`.
-
-    Components of the one-forms outside `basis` are ignored, which is
-    the restriction of the bilinear form to the span of `basis`.
-    """
-    gens = tuple(gens)
-    cols = [gens.index(b) for b in basis]
-    n = len(cols)
-    zero = ParamPoly.coerce(0)
-    g = [[zero for _ in range(n)] for _ in range(n)]
-    for coeff, form in metric_terms:
-        if form.degree != 1:
-            raise DegreeError("metric terms must be one-forms")
-        if form.gens != gens:
-            raise ValueError("metric one-form over wrong coframe")
-        coeff = ParamPoly.coerce(coeff)
-        comps = [form.terms.get((j,), POLY_ZERO) for j in cols]
-        for i in range(n):
-            if comps[i].is_zero():
-                continue
-            for j in range(n):
-                if comps[j].is_zero():
-                    continue
-                g[i][j] = g[i][j] + coeff * comps[i] * comps[j]
-    return g

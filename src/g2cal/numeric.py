@@ -558,7 +558,8 @@ def numeric_sweep(
     grid point hits, the per-slice minima are polished instead and those
     that converge below tolerance are kept, so isolated zeros lying
     between grid points are still recovered within a cell.  Polished
-    zeros closer than one cell are one hit: the lowest-residual point,
+    zeros closer than one grid cell, on the steps the grid took, are one
+    hit: the lowest-residual point,
     with count the number of polishes that met it.
     Lambda slices with |lam| <= _LAM_FLOOR are skipped.  The slices are
     screened together by _screen, which evaluates directly only the mesh
@@ -592,12 +593,18 @@ def numeric_sweep(
             point, mu, res = _refine(which, system, start, t_samples, tolerance, bounds)
             if res < tolerance:
                 polished.append(_hit(*point, mu, res))
-        hits = _merge_hits(polished, resolution)
+        hits = _merge_hits(polished, [_step(g) for g in (lams, avals, bvals)])
     return hits
 
 
-def _merge_hits(hits, resolution):
-    """One hit per cluster closer than `resolution` in (lam, a, b).
+def _step(grid):
+    """The step a grid took; a one-point axis sets no limit."""
+    return (grid[-1] - grid[0]) / (len(grid) - 1) if len(grid) > 1 else math.inf
+
+
+def _merge_hits(hits, steps):
+    """One hit per cluster closer than one grid cell in (lam, a, b), the
+    cell's sides being `steps`, the steps the grid took on each axis.
 
     Hits are taken in order of residual; each joins the first kept hit
     within one cell, whose count it raises, or else is kept itself.
@@ -605,7 +612,7 @@ def _merge_hits(hits, resolution):
     kept = []
     for h in sorted(hits, key=lambda h: h["residual"]):
         for k in kept:
-            if max(abs(h[v] - k[v]) for v in ("lam", "a", "b")) < resolution:
+            if all(abs(h[v] - k[v]) < d for v, d in zip(("lam", "a", "b"), steps)):
                 k["count"] += 1
                 break
         else:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .scalars import (
     AlgebraicScalar,
     ALG_ZERO,
+    POLY_ZERO,
     TrigScalar,
     ParamPoly,
     LAM,
@@ -36,11 +37,10 @@ from .exterior import (
     ext_d,
     dt_split,
     hodge_star,
-    gram_matrix,
     wedge_all,
     DegreeError,
 )
-from .quaternionic import QuatForm, quat_wedge
+from .quaternionic import quat_wedge
 from .liealg import (
     B7_GENS,
     GAMMA_GENS,
@@ -106,16 +106,17 @@ def asd_two_forms(cf):
     return tuple(out)
 
 
+# Im H-valued forms are triples (i, j, k) of Forms; see `quat_wedge`.
+
 def connection_form(cf):
-    """Vector-valued connection 1-form, component k = -(2c_k + 1) e_k."""
-    comps = [cf.gen("e%d" % k, -(c_k(k) * 2 + 1)) for k in (1, 2, 3)]
-    return QuatForm.vector(*comps)
+    """The Im H-valued connection 1-form, component k = -(2c_k + 1) e_k."""
+    return tuple(cf.gen("e%d" % k, -(c_k(k) * 2 + 1)) for k in (1, 2, 3))
 
 
 def curvature_form(cf):
-    """Vector-valued curvature: component k = half of omega_k."""
+    """The Im H-valued curvature: component k = half of omega_k."""
     half = Fraction(1, 2)
-    return QuatForm.vector(*(w.scale(half) for w in asd_two_forms(cf)))
+    return tuple(w.scale(half) for w in asd_two_forms(cf))
 
 
 def beta_forms(cf):
@@ -163,26 +164,26 @@ def verify_connection():
         failures.append("d(omega_1) mismatch")
 
     # curvature from the connection: d(phi_k) + 2 phi_i^phi_j = (1/2) omega_k
-    curv = phi.d(cf) + quat_wedge(phi, phi)
+    curv = [ext_d(p, cf) + w for p, w in zip(phi, quat_wedge(phi, phi)[1:])]
     for k in (1, 2, 3):
-        if curv.components[k] != Phi.components[k]:
+        if curv[k - 1] != Phi[k - 1]:
             failures.append("curvature component %d" % k)
 
     # kappa read off the first component
-    got = curv.components[1].coefficient(("dt", "e1")).const_value()
+    got = curv[0].coefficient(("dt", "e1")).const_value()
     ref = omega[0].coefficient(("dt", "e1")).const_value()
     if got * 2 != ref:
         failures.append("kappa != 1")
 
     # Bianchi-type identity: d(Phi) + 2 Im(phi ^ Phi) = 0
-    bianchi = Phi.d(cf) + quat_wedge(phi, Phi).imag().scale(2)
-    if not bianchi.is_zero():
+    bianchi = [ext_d(P, cf) + w.scale(2) for P, w in zip(Phi, quat_wedge(phi, Phi)[1:])]
+    if not all(b.is_zero() for b in bianchi):
         failures.append("d(Phi) + 2 Im(phi^Phi) != 0")
 
     # -Re(Phi ^ Phi), the sum of the squared curvature components, is
     # -3/2 times the base volume 64 s1 s2 s3 dt^e1^e2^e3
     vol = cf.mono(("dt", "e1", "e2", "e3"), s1 * s2 * s3 * 64)
-    if -quat_wedge(Phi, Phi).real_part() != vol.scale(Fraction(-3, 2)):
+    if -quat_wedge(Phi, Phi)[0] != vol.scale(Fraction(-3, 2)):
         failures.append("-Re(Phi^Phi) != -3/2 vol")
 
     return _report("connection", failures)
@@ -193,50 +194,40 @@ def verify_lemma_1_1():
     cf = s7_coframe()
     phi = connection_form(cf)
     Phi = curvature_form(cf)
-    beta = QuatForm.vector(*beta_forms(cf))
-    res = beta.d(cf) + quat_wedge(beta, beta) + quat_wedge(phi, beta).imag().scale(2) + Phi
-    failures = [
-        "component %d: %s" % (k, res.components[k].render())
-        for k in (1, 2, 3)
-        if not res.components[k].is_zero()
-    ]
+    beta = beta_forms(cf)
+    beta_sq, phi_beta = quat_wedge(beta, beta), quat_wedge(phi, beta)
+    failures = []
+    for k in (1, 2, 3):
+        res = ext_d(beta[k - 1], cf) + beta_sq[k] + phi_beta[k].scale(2) + Phi[k - 1]
+        if not res.is_zero():
+            failures.append("component %d: %s" % (k, res.render()))
     return _report("vertical-one-form-identity", failures)
 
 
 # -- SU(3) structure on a 6-element subframe ----------------------------------
 
-class Su3Structure:
-    """xi, Re Xi, Im Xi over the base coframe, from six 1-forms."""
+def su3_forms(six):
+    """(xi, Re Xi, Im Xi) of six 1-forms x1..x6: xi = x12 + x34 + x56 and
+    Xi = (x1 + i x2) ^ (x3 + i x4) ^ (x5 + i x6)."""
+    x1, x2, x3, x4, x5, x6 = six
+    x13, x14, x23, x24 = x1.wedge(x3), x1.wedge(x4), x2.wedge(x3), x2.wedge(x4)
+    return (
+        x1.wedge(x2) + x3.wedge(x4) + x5.wedge(x6),
+        x13.wedge(x5) - x14.wedge(x6) - x23.wedge(x6) - x24.wedge(x5),
+        x23.wedge(x5) + x14.wedge(x5) + x13.wedge(x6) - x24.wedge(x6),
+    )
 
-    __slots__ = ("xi", "re", "im", "forms")
 
-    def __init__(self, six):
-        six = tuple(six)
-        if len(six) != 6 or any(f.degree != 1 for f in six):
-            raise DegreeError("expected six 1-forms")
-        x1, x2, x3, x4, x5, x6 = six
-        x13, x14, x23, x24 = x1.wedge(x3), x1.wedge(x4), x2.wedge(x3), x2.wedge(x4)
-        object.__setattr__(self, "forms", six)
-        object.__setattr__(self, "xi", x1.wedge(x2) + x3.wedge(x4) + x5.wedge(x6))
-        object.__setattr__(
-            self, "re", x13.wedge(x5) - x14.wedge(x6) - x23.wedge(x6) - x24.wedge(x5)
-        )
-        object.__setattr__(
-            self, "im", x23.wedge(x5) + x14.wedge(x5) + x13.wedge(x6) - x24.wedge(x6)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Su3Structure is immutable")
-
-    def volume(self):
-        return wedge_all(self.forms)
-
-    def invariants_check(self):
-        return {
-            "xi_wedge_re_zero": self.xi.wedge(self.re).is_zero(),
-            "xi_wedge_im_zero": self.xi.wedge(self.im).is_zero(),
-            "re_im_is_four_volumes": self.re.wedge(self.im) == self.volume().scale(4),
-        }
+def su3_invariants_report(six, identity):
+    """xi ^ Re Xi = 0, xi ^ Im Xi = 0 and Re Xi ^ Im Xi = 4 x1 ^ .. ^ x6;
+    each that fails is named in the residual, in this order."""
+    xi, re, im = su3_forms(six)
+    checks = (
+        ("xi_wedge_re_zero", xi.wedge(re).is_zero()),
+        ("xi_wedge_im_zero", xi.wedge(im).is_zero()),
+        ("re_im_is_four_volumes", re.wedge(im) == wedge_all(six).scale(4)),
+    )
+    return _report(identity, [name for name, ok in checks if not ok])
 
 
 # -- the two distinguished structures -----------------------------------------
@@ -265,10 +256,8 @@ def build_s7_squashed():
     """The squashed 3-form 2 lam Theta + lam^3 Upsilon with its frame."""
     cf = s7_coframe()
     betas = beta_forms(cf)
-    Phi = curvature_form(cf)
-    theta = cf.zero(3)
-    for k in (1, 2, 3):
-        theta = theta + Phi.components[k].wedge(betas[k - 1])
+    # Theta = sum Phi_k ^ beta_k
+    theta = -quat_wedge(curvature_form(cf), betas)[0]
     upsilon = betas[0].wedge(betas[1]).wedge(betas[2])
     phi3 = theta.scale(LAMBDA_CANON * 2) + upsilon.scale(LAMBDA_CANON ** 3)
     return phi3, s7_frame(cf), cf
@@ -279,8 +268,8 @@ def g2_frame_form(names):
     """X7 ^ xi + Re Xi over seven generator names: the seven signed
     monomials of the canonical G2 3-form, built once per name tuple."""
     xs = [Form.generator(names, n) for n in names]
-    su = Su3Structure(xs[:6])
-    return xs[6].wedge(su.xi) + su.re
+    xi, re, _ = su3_forms(xs[:6])
+    return xs[6].wedge(xi) + re
 
 
 def canonical_g2_form(frame):
@@ -330,14 +319,20 @@ def verify_np2(phi, frame, cf, identity="np2"):
 
 # -- Gram blocks ---------------------------------------------------------------
 
+def _f1_e1_block(coframe):
+    """The (f1, e1) block of the metric sum x (x) x over the given
+    1-forms x: entry (u, v) is sum x_u x_v."""
+    cols = [[x.coefficient((name,)) for x in coframe] for name in ("f1", "e1")]
+    return [[sum((p * q for p, q in zip(u, v)), POLY_ZERO) for v in cols] for u in cols]
+
+
 def s7_gram_block():
-    """Round-metric block in the (f1, e1) plane."""
+    """Round-metric block in the (f1, e1) plane: dt^2 + 4 sum beta_k^2 +
+    sum (4 s_k e_k)^2, with 4 beta_k^2 = (2 beta_k)^2."""
     cf = s7_coframe()
-    betas = beta_forms(cf)
-    terms = [(1, cf.gen("dt"))]
-    terms += [(4, b) for b in betas]
-    terms += [(1, cf.gen("e%d" % k, s_k(k) * 4)) for k in (1, 2, 3)]
-    return gram_matrix(terms, ("f1", "e1"), S7_GENS)
+    coframe = [cf.gen("dt")] + [b.scale(2) for b in beta_forms(cf)]
+    coframe += [cf.gen("e%d" % k, s_k(k) * 4) for k in (1, 2, 3)]
+    return _f1_e1_block(coframe)
 
 def b7_gram_block():
     """Invariant-metric block in the (f1, e1) plane via the basis change.
@@ -351,7 +346,7 @@ def b7_gram_block():
     n1 = (cf.gen("f1") + cf.gen("e1")).scale(half)
     y1 = p1.scale(LAMBDA_CANON * 2) + n1.scale(c_k(1) * LAMBDA_CANON)
     y2 = n1.scale(s_k(1) * 2)
-    return gram_matrix([(1, y1), (1, y2)], ("f1", "e1"), S7_GENS)
+    return _f1_e1_block([y1, y2])
 
 
 def half_angle_entry(const_part, cos_sq_coeff):
@@ -574,12 +569,12 @@ def extract_constraints(residual):
     return out
 
 
-def constraints_contain(constraints, target, bindings=None, max_shift=2):
+def constraints_contain(constraints, target, bindings=None):
     """True if target lies in the linear span of the constraints.
 
     Bindings are applied to both sides first.  Published systems often
-    divide through by lam, so target * lam^k for k = 0..max_shift is
-    also accepted.
+    divide through by lam, so target * lam^k for k = 0..2 is also
+    accepted.
     """
     if bindings:
         constraints = [p.bind(bindings) for p in constraints]
@@ -611,7 +606,7 @@ def constraints_contain(constraints, target, bindings=None, max_shift=2):
 
     return any(
         not reduce(vec(target if k == 0 else target * LAM ** k))
-        for k in range(max_shift + 1)
+        for k in range(3)
     )
 
 

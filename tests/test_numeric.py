@@ -655,3 +655,34 @@ def test_sweep_keeps_zero_width_ranges_at_any_resolution():
         resolution=math.inf, t_samples=numeric.default_t_samples(5),
     )
     assert [(h["lam"], h["a"], h["b"]) for h in hits] == [(0.5, 0.0, 0.0)]
+
+
+def test_polished_zeros_merge_within_the_grid_step(monkeypatch):
+    # resolution 2.5 grids lambda_range (0.1, 2.0) with step 1.9, a_range
+    # (-3, 3) with step 3 and b_range (-2, 2) with step 2: zeros 2.0 apart
+    # in b lie a full cell apart and stay two hits, zeros 1e-9 apart merge
+    zeros = [(1.0, 0.0, -1.0, 3e-12), (1.0, 0.0, 1.0, 1e-12), (1.0, 0.0, 1.0 + 1e-9, 2e-12)]
+    grids = []
+
+    def screen(which, system, lams, avals, bvals, t_samples, tolerance):
+        grids.append((list(lams), list(avals), list(bvals)))
+        return [([], (1e-3, lam, a, b, 0.5)) for lam, a, b, _ in zeros]
+
+    def refine(which, system, start, t_samples, tolerance, bounds):
+        lam, a, b, mu = start
+        res = next(r for z in zeros if z[:3] == (lam, a, b) for r in z[3:])
+        return (lam, a, b), mu, res
+
+    monkeypatch.setattr(numeric, "_screen", screen)
+    monkeypatch.setattr(numeric, "_refine", refine)
+    hits = numeric.numeric_sweep("b7", "both", lambda_range=(0.1, 2.0), resolution=2.5)
+    assert grids == [([0.1, 2.0], [-3.0, 0.0, 3.0], [-2.0, 0.0, 2.0])]
+    kept = [(h["b"], h["residual"], h["count"]) for h in hits]
+    assert kept == [(1.0, 1e-12, 2), (-1.0, 3e-12, 1)]
+
+
+def test_merge_cell_is_the_step_the_grid_took():
+    # the coarse box's steps, and no limit on an axis of one point
+    ranges = ((0.1, 2.0), (-3.0, 3.0), (-2.0, 2.0), (0.5, 0.5))
+    steps = [numeric._step(numeric._grid(lo, hi, 2.5)) for lo, hi in ranges]
+    assert steps == [pytest.approx(1.9), 3.0, 2.0, math.inf]

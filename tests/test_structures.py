@@ -29,7 +29,8 @@ from g2cal.structures import (
     beta_forms,
     verify_connection,
     verify_lemma_1_1,
-    Su3Structure,
+    su3_forms,
+    su3_invariants_report,
     s7_frame,
     build_s7_squashed,
     build_b7,
@@ -87,8 +88,35 @@ def test_vertical_identity_and_perturbation(monkeypatch):
 
 def test_su3_invariants():
     cf = s7_coframe()
-    su = Su3Structure(s7_frame(cf).forms[:6])
-    assert all(su.invariants_check().values())
+    rep = su3_invariants_report(s7_frame(cf).forms[:6], "su3")
+    assert rep == ("su3", "holds", None, None)
+
+
+def test_su3_invariants_hold_for_any_six_one_forms():
+    # the invariants are identities of the exterior algebra, so a rescaled
+    # frame still satisfies them: the report checks su3_forms' formulas
+    cf = s7_coframe()
+    x1, *rest = s7_frame(cf).forms[:6]
+    assert su3_invariants_report((x1.scale(2), *rest), "su3").status == "holds"
+
+
+@pytest.mark.parametrize("perturb, broken", [
+    (lambda xi, re, im, x13: (xi + x13, re, im), ["xi_wedge_re_zero", "xi_wedge_im_zero"]),
+    (lambda xi, re, im, x13: (xi, re.scale(2), im), ["re_im_is_four_volumes"]),
+    (lambda xi, re, im, x13: (xi + x13, re.scale(2), im),
+     ["xi_wedge_re_zero", "xi_wedge_im_zero", "re_im_is_four_volumes"]),
+], ids=["xi", "re", "all"])
+def test_su3_invariants_report_names_each_broken_invariant(monkeypatch, perturb, broken):
+    forms = su3_forms
+
+    def perturbed(six):
+        return perturb(*forms(six), six[0].wedge(six[2]))
+
+    monkeypatch.setattr(structures, "su3_forms", perturbed)
+    cf = s7_coframe()
+    rep = su3_invariants_report(s7_frame(cf).forms[:6], "su3")
+    assert rep.status == "fails"
+    assert rep.residual == "; ".join(broken)
 
 
 def test_squashed_build_equals_frame_pattern():
@@ -113,12 +141,14 @@ def test_chi_is_minus_three_halves_base_volume():
     s1, s2, s3 = s_k(1), s_k(2), s_k(3)
     vol4 = cf.mono(("dt", "e1", "e2", "e3"), s1 * s2 * s3 * 64)
     Phi = curvature_form(cf)
-    assert -quat_wedge(Phi, Phi).real_part() == vol4.scale(Fraction(-3, 2))
+    assert -quat_wedge(Phi, Phi)[0] == vol4.scale(Fraction(-3, 2))
 
 
 def test_connection_report_checks_chi(monkeypatch):
     curvature = curvature_form
-    monkeypatch.setattr(structures, "curvature_form", lambda cf: curvature(cf).scale(2))
+    monkeypatch.setattr(
+        structures, "curvature_form", lambda cf: tuple(f.scale(2) for f in curvature(cf))
+    )
     rep = verify_connection()
     assert rep.status == "fails"
     assert "-Re(Phi^Phi) != -3/2 vol" in rep.residual.split("; ")
@@ -199,8 +229,8 @@ def test_b7_family_even_leg_vanishes_at_zero():
 def test_half_xi_squared_closed_form():
     fam = AnsatzFamily("s7")
     cf = s7_coframe()
-    su = Su3Structure(fam.frame_forms(cf))
-    half_sq = su.xi.wedge(su.xi).scale(P(Fraction(1, 2)))
+    xi, _, _ = su3_forms(fam.frame_forms(cf))
+    half_sq = xi.wedge(xi).scale(P(Fraction(1, 2)))
     lam_sq = LAM * LAM
     want = {}
     gens = cf.gens
@@ -314,9 +344,9 @@ def test_round_family_rejects_wrong_claim(monkeypatch):
 def test_orbit_d_is_the_dt_free_part_of_d(which):
     fam = AnsatzFamily(which)
     cf = fam.coframe()
-    su = Su3Structure(fam.frame_forms(cf))
+    xi, re, _ = su3_forms(fam.frame_forms(cf))
     i_dt = cf.gens.index("dt")
-    for f in (su.xi, su.re):
+    for f in (xi, re):
         full = ext_d(f, cf)
         dt_free = Form(cf.gens, full.degree,
                        {m: c for m, c in full.terms.items() if i_dt not in m})
@@ -330,10 +360,10 @@ def test_nhf_and_flow_are_the_parts_of_the_np2_residual(which):
     # phi = -dt ^ xi + Re Xi; the sign of d/dt Re Xi is checked here
     fam = AnsatzFamily(which)
     cf = fam.coframe()
-    su = Su3Structure(fam.frame_forms(cf))
-    ddt_re = _map_coefficients(su.re, lambda c: c.deriv_t())
-    nhf = orbit_d(su.re, cf) - su.xi.wedge(su.xi).scale(MU * P(Fraction(1, 2)))
-    flow = orbit_d(su.xi, cf) + ddt_re - su.im.scale(MU)
+    xi, re, im = su3_forms(fam.frame_forms(cf))
+    ddt_re = _map_coefficients(re, lambda c: c.deriv_t())
+    nhf = orbit_d(re, cf) - xi.wedge(xi).scale(MU * P(Fraction(1, 2)))
+    flow = orbit_d(xi, cf) + ddt_re - im.scale(MU)
     assert nhf_residual(fam) == nhf
     assert flow_residual(fam) == flow
     frame = fam.frame(cf)
