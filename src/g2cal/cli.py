@@ -229,9 +229,11 @@ def _cmd_sweep(cfg):
         for h in sorted(hits, key=lambda h: (h["lam"], h["a"], h["b"]))
     ]
     payload = {"space": space, "family": which, "system": system, "hits": hits}
-    lines = ["lam=%(lam)g a=%(a)g b=%(b)g mu=%(mu)g residual=%(residual)g"
-             " count=%(count)d" % h for h in hits]
-    _emit(payload, cfg["format"], cfg.get("output"), lines or ["no hits"])
+    lines = None
+    if cfg["format"] != "json":  # formatted only when they are printed
+        lines = ["lam=%(lam)g a=%(a)g b=%(b)g mu=%(mu)g residual=%(residual)g"
+                 " count=%(count)d" % h for h in hits] or ["no hits"]
+    _emit(payload, cfg["format"], cfg.get("output"), lines)
     return 0
 
 

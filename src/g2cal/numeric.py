@@ -6,13 +6,16 @@ results and drive the parameter sweep.  Each Z_k is a pair (U_k, V_k) of
 real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
 polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
 numpy arrays, so many points are evaluated at once.  _coefficients is the
-one walk of the residual forms: it lists the (r0, r1) coefficient pairs
-by sample, system and monomial, taking max(1, 2**14 // points) t samples
-per evaluation, and the least-squares sums, fitted mu, max-norm and
-Gauss-Newton rows are read off that list.  The sweep screens every lambda
-slice with least-squares sums interpolated from Chebyshev nodes in (a, b),
-exact since they have low degree there, and evaluates directly only where
-a hit or the slice minimum can be.  Consecutive slices share each of those
+one walk of the residual forms: it stacks the r0 and r1 coefficients in
+two arrays (c0, c1), one row per sample, system and monomial, taking
+max(1, 2**14 // points) t samples per evaluation.  The least-squares sums,
+fitted mu, max-norm and Gauss-Newton rows are whole-array operations on
+those rows, and the sums add the rows strictly left to right, in blocks
+of at most 2**14 elements, so that a point's sums do not depend on the
+rest of its batch.  The sweep screens every lambda slice with
+least-squares sums interpolated from Chebyshev nodes in (a, b), exact
+since they have low degree there, and evaluates directly only where a
+hit or the slice minimum can be.  Consecutive slices share each of those
 evaluations, lam an array axis, up to _PACK_SAMPLES point-samples at a
 time.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu).
 numeric_sweep checks every argument first, in _check_inputs, and refuses a
@@ -62,19 +65,20 @@ def _merge(m1, m2):
     return tuple(out), sign
 
 
-def wedge(x, y, out=None):
-    """x ^ y, added into the dict `out` when one is given."""
+def wedge(x, y, out=None, sign=1):
+    """sign * (x ^ y) for sign 1 or -1, added into the dict `out` when one
+    is given: a negative term is subtracted, not negated and then added."""
     out = {} if out is None else out
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            m, sign = _merge(m1, m2)
+            m, s = _merge(m1, m2)
             if m is None:
                 continue
-            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            c = c1 * c2
             if m in out:
-                out[m] = out[m] + c
+                out[m] = out[m] + c if s == sign else out[m] - c
             else:
-                out[m] = c
+                out[m] = c if s == sign else -c
     return out
 
 
@@ -165,7 +169,7 @@ def frame_z(which, lam, a, b, t):
 # `out` (a form, or a pair of forms) when it is given.
 def _re_wedge(x, y, out=None):
     (x_re, x_im), (y_re, y_im) = x, y
-    return wedge(x_im, scale(y_im, -1.0), wedge(x_re, y_re, out))
+    return wedge(x_im, y_im, wedge(x_re, y_re, out), sign=-1)
 
 
 def _cwedge(x, y, out=(None, None)):
@@ -206,55 +210,99 @@ def residual_parts(which, system, lam, a, b, t):
 
 # Array elements per _system_parts call of _coefficients: a batch of
 # `points` points takes max(1, _RUN_ELEMENTS // points) samples at a time.
+# The sums over the rows take blocks of at most as many elements.
 _RUN_ELEMENTS = 2**14
 
 
 def _coefficients(which, system, lam, a, b, t_samples):
-    """[(c0, c1)]: the coefficients of r0 and r1, by sample, system, monomial.
+    """(c0, c1): the coefficients of r0 and r1, one row per sample, system
+    and monomial, in that order.
 
-    system is "nhf", "flow" or "both".  Each entry has the broadcast shape
-    of (lam, a, b), with zeros where one of r0, r1 lacks the monomial; the
-    arrays are views into the results of _system_parts, which takes the
-    samples in runs on a leading axis.  Consumers add over this list in its
-    order, so sums at one point depend neither on the runs nor on the
-    other points of the batch.
+    system is "nhf", "flow" or "both".  Both arrays are C-contiguous, of
+    shape (rows, *shape) with shape the broadcast shape of (lam, a, b),
+    with zeros where one of r0, r1 lacks the monomial.  They are filled
+    run by run from _system_parts, which takes the samples in runs on a
+    leading axis.  Consumers add over the rows in order, so sums at one
+    point depend neither on the runs nor on the other points of the batch.
     """
     shape = np.broadcast(lam, a, b).shape
     run = max(1, _RUN_ELEMENTS // math.prod(shape))
     systems = ("nhf", "flow") if system == "both" else (system,)
-    out = []
+    c0 = c1 = None
     for start in range(0, len(t_samples), run):
         t = np.reshape(t_samples[start : start + run], (-1,) + (1,) * len(shape))
-        full = t.shape[:1] + shape
-        rows = [
-            (np.broadcast_to(r0.get(m, 0.0), full), np.broadcast_to(r1.get(m, 0.0), full))
+        parts = [
+            (r0.get(m, 0.0), r1.get(m, 0.0))
             for r0, r1 in _system_parts(which, systems, lam, a, b, t)
             for m in set(r0) | set(r1)
         ]
-        out.extend((c0[k], c1[k]) for k in range(t.shape[0]) for c0, c1 in rows)
-    return out
+        if c0 is None:
+            full = (len(t_samples), len(parts)) + shape
+            dtype = np.result_type(lam, a, b, t)
+            c0, c1 = np.empty(full, dtype), np.empty(full, dtype)
+        stop = start + t.shape[0]
+        for j, (v0, v1) in enumerate(parts):
+            c0[start:stop, j] = v0
+            c1[start:stop, j] = v1
+        del parts  # released before the next run is built
+    rows = (-1,) + shape
+    return c0.reshape(rows), c1.reshape(rows)
 
 
-def _lsq(coefficients, squares=False):
-    """(num, den[, s00]): sums of r0·r1, r1^2 [and r0^2] in list order."""
-    num = sum(c0 * c1 for c0, c1 in coefficients)
-    den = sum(c1 * c1 for _, c1 in coefficients)
-    return (num, den, sum(c0 * c0 for c0, _ in coefficients)) if squares else (num, den)
+def _blocks(c):
+    """Slices of consecutive rows of c, of at most _RUN_ELEMENTS elements
+    and at least one row each."""
+    size = max(1, _RUN_ELEMENTS // math.prod(c.shape[1:]))
+    return [slice(k, k + size) for k in range(0, len(c), size)]
+
+
+def _row_sum(terms, total):
+    """total + terms[0] + terms[1] + ..., added strictly left to right.
+
+    terms is a fresh array and is overwritten.  numpy adds rows of two or
+    more elements one after the other, but sums rows of one element (a
+    lone point, a batch of one) pairwise, so those are accumulated.
+    """
+    if len(terms) == 1:
+        return total + terms[0]
+    np.add(terms[:1], total, out=terms[:1])
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _lsq(c0, c1, squares=False):
+    """(num, den[, s00]): sums of c0·c1, c1^2 [and c0^2] over the rows."""
+    sums = [0.0] * (3 if squares else 2)
+    for rows in _blocks(c0):
+        x, y = c0[rows], c1[rows]
+        sums[0] = _row_sum(x * y, sums[0])
+        sums[1] = _row_sum(y * y, sums[1])
+        if squares:
+            sums[2] = _row_sum(x * x, sums[2])
+    return tuple(sums)
 
 
 def _fit_mu(num, den):
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
 
 
-def _max_norm(coefficients, mu):
-    return functools.reduce(np.maximum, (np.abs(c0 - mu * c1) for c0, c1 in coefficients))
+def _max_norm(c0, c1, mu):
+    """max |c0 - mu·c1| over the rows."""
+    out = None
+    for rows in _blocks(c0):
+        d = mu * c1[rows]
+        np.abs(np.subtract(c0[rows], d, out=d), out=d)
+        d = d.max(axis=0) if len(d) > 1 else d[0]
+        out = d if out is None else np.maximum(out, d)
+    return out
 
 
 def best_mu_residual(which, system, lam, a, b, t_samples):
     """Least-squares mu over all samples, and the residual max with it."""
-    coefficients = _coefficients(which, system, lam, a, b, t_samples)
-    mu = _fit_mu(*_lsq(coefficients))
-    return mu, _max_norm(coefficients, mu)
+    c0, c1 = _coefficients(which, system, lam, a, b, t_samples)
+    mu = _fit_mu(*_lsq(c0, c1))
+    return mu, _max_norm(c0, c1, mu)
 
 
 def default_t_samples(count=9):
@@ -407,12 +455,12 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     samples = len(t_samples)
     node_sums, n = [], 0
     for pack in _packs(range(lams.size), lambda k: a_nodes.size * b_nodes.size * samples):
-        nodes = _coefficients(
+        c0, c1 = _coefficients(
             which, system, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
         )
-        node_sums.extend(zip(*_lsq(nodes, squares=True)))
-        n = len(nodes)
-        del nodes  # released before the next pack is built
+        node_sums.extend(zip(*_lsq(c0, c1, squares=True)))
+        n = len(c0)  # the row count
+        del c0, c1  # released before the next pack is built
     # per slice: None for the whole mesh, else the scales of its node sums,
     # its ss-argmin and the interpolated sums there
     screens = []
@@ -428,8 +476,8 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     for pack in _packs([k for k, screen in enumerate(screens) if screen], lambda k: samples):
         i0, j0 = np.transpose([screens[k][1] for k in pack])
         at_min = _coefficients(which, system, lams[pack], avals[i0], bvals[j0], t_samples)
-        direct = _lsq(at_min, squares=True)
-        m0 = _max_norm(at_min, _fit_mu(*direct[:2]))
+        direct = _lsq(*at_min, squares=True)
+        m0 = _max_norm(*at_min, _fit_mu(*direct[:2]))
         del at_min  # and not held through the candidates
         for p, k in enumerate(pack):
             scales, _, interpolated = screens[k]
@@ -488,8 +536,8 @@ def _residual_rows(which, system, points, t_samples):
     systems and monomials, in the order of _coefficients.
     """
     lam, a, b, mu = np.asarray(points, dtype=float).T
-    c0, c1 = np.transpose(_coefficients(which, system, lam, a, b, t_samples), (1, 2, 0))
-    return c0 - mu[:, None] * c1
+    c0, c1 = _coefficients(which, system, lam, a, b, t_samples)
+    return (c0 - mu * c1).T
 
 
 # Gauss-Newton steps per polish, the forward-difference step of its

@@ -251,6 +251,17 @@ def test_sweep_command(capsys):
     assert out.rstrip().endswith(" count=1")
 
 
+def test_sweep_without_hits_prints_no_hits(capsys):
+    box = ("--space", "s7-squashed", "--lambda-min", "1.0", "--lambda-max", "1.1",
+           "--a-min", "1.0", "--a-max", "1.2", "--b-min", "2.0", "--b-max", "2.2",
+           "--resolution", "0.1")
+    code, out, _ = run(capsys, "sweep", *box)
+    assert (code, out) == (0, "no hits\n")
+    code, out, _ = run(capsys, "sweep", *box, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["hits"] == []
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--resolution", "0"), "resolution must be positive"),
     (("--resolution", "-0.1"), "resolution must be positive"),
@@ -364,6 +375,13 @@ def _check_sweep_golden(capsys, name, *args):
 
 def test_sweep_s7_default_box_matches_golden(capsys):
     _check_sweep_golden(capsys, "sweep-s7-squashed.json", "--space", "s7-squashed")
+
+
+@pytest.mark.parametrize("space", ["b7", "s7-canonical"])
+def test_sweep_default_joint_box_matches_golden(capsys, space):
+    # the default joint boxes evaluate whole slices of candidates at once,
+    # the largest batches a sweep takes
+    _check_sweep_golden(capsys, "sweep-%s.json" % space, "--space", space)
 
 
 def test_sweep_b7_bench_box_matches_golden(capsys):

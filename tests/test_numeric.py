@@ -213,25 +213,26 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
     # every case takes its samples in runs on a leading axis and both
     # systems from one shared frame; the reference takes one residual_parts
     # call per sample and system, and lists the coefficients in the same
-    # order: sample, then system, then monomial
+    # order as the rows of (c0, c1): sample, then system, then monomial
     samples = numeric.default_t_samples()
     shape = np.broadcast(lam, a, b).shape
-    coefficients = numeric._coefficients(which, "both", lam, a, b, samples)
+    c0, c1 = numeric._coefficients(which, "both", lam, a, b, samples)
     ref = [
         (r0.get(m, 0.0), r1.get(m, 0.0))
         for r0, r1 in _parts_by_system(which, lam, a, b, samples)
         for m in set(r0) | set(r1)
     ]
-    assert len(coefficients) == len(ref)
-    for got, want in zip(coefficients, ref):
-        for c, w in zip(got, want):
-            assert np.shape(c) == shape
-            np.testing.assert_allclose(c, np.broadcast_to(w, shape), rtol=0, atol=1e-12)
+    for c in (c0, c1):
+        assert c.shape == (len(ref),) + shape
+        assert c.flags.c_contiguous
+    for got, want in zip((c0, c1), zip(*ref)):
+        want = np.stack([np.broadcast_to(w, shape) for w in want])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
     ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
     np.testing.assert_allclose(mu, ref_mu, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res, ref_res, rtol=0, atol=1e-12)
-    worst = numeric._max_norm(coefficients, -1.7)
+    worst = numeric._max_norm(c0, c1, -1.7)
     ref_worst = _reference_max(_parts_by_system(which, lam, a, b, samples), -1.7)
     np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
 
@@ -329,6 +330,12 @@ def test_batched_points_match_scalar_calls(which):
             assert (mu[k], res[k]) == alone, system
             at = np.unravel_index(np.argsort(order)[k], (3, 4))
             assert (mixed_mu[at], mixed_res[at]) == alone, system
+            # a batch of one has rows of one element, like a lone point
+            one_mu, one_res = numeric.best_mu_residual(
+                which, system, lam[k : k + 1], a[k : k + 1], b[k : k + 1], samples
+            )
+            assert one_mu.shape == one_res.shape == (1,)
+            assert (one_mu[0], one_res[0]) == alone, system
 
 
 def test_polish_is_batched_and_hits_merge(monkeypatch):

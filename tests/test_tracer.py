@@ -46,3 +46,25 @@ def test_tracer_counts_a_direct_wedge():
         tracer.uninstall()
     assert counts.get("exterior.wedge") == 1
     assert dict(vars(Form)) == before
+
+
+def test_tracer_spans_each_polish_of_a_sweep():
+    # the tracer wraps numeric._refine by name and reads one
+    # (point, mu, res) per polish: on the benchmark's b7 box all five
+    # polished minima converge to the one joint zero
+    from g2cal import numeric
+
+    before = dict(vars(numeric))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        hits = numeric.numeric_sweep("b7", "both", lambda_range=(0.8, 1.0))
+        taken = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert len(hits) == 1
+    assert sum(span[0] == "numeric.refine" for span in taken["spans"]) == 5
+    assert taken["values"]["numeric.refine.converged"] == 5
+    assert taken["values"]["numeric.refine.distinct"] == 1
+    assert taken["values"]["numeric.sweep.hits"] == 1
+    assert dict(vars(numeric)) == before
