@@ -162,35 +162,28 @@ def _emit(payload, fmt, output, text_lines=None):
 
 # -- commands ---------------------------------------------------------------------
 
-def _cmd_verify(cfg):
-    space = cfg.get("space")
-    if space is None:
-        sys.stderr.write("verify needs --space\n")
-        return 2
+def _emit_reports(cfg, spaces, timed):
+    """Emit the reports of the spaces; timed, each carries the time since
+    the previous one, else elapsed_ms 0, so the bytes are reproducible."""
     reports, payload = [], []
     start = time.monotonic()
-    # each report carries the time since the previous one
-    for rep in _run_space(space):
-        now = time.monotonic()
-        reports.append(rep)
-        payload.append(_report_json(rep, elapsed_ms=int((now - start) * 1000)))
-        start = now
+    for space in spaces:
+        for rep in _run_space(space):
+            now = time.monotonic()
+            reports.append(rep)
+            payload.append(_report_json(rep, int((now - start) * 1000) if timed else 0))
+            start = now
     _emit(payload, cfg["format"], cfg.get("output"),
           [_report_text(r) for r in reports])
     return 0 if all(r.ok() for r in reports) else 1
 
 
+def _cmd_verify(cfg):
+    return _emit_reports(cfg, [cfg["space"]], timed=True)
+
+
 def _cmd_report_all(cfg):
-    payload = []
-    lines = []
-    ok = True
-    for space in SPACES:
-        for rep in _run_space(space):
-            payload.append(_report_json(rep, elapsed_ms=0))
-            lines.append(_report_text(rep))
-            ok = ok and rep.ok()
-    _emit(payload, cfg["format"], cfg.get("output"), lines)
-    return 0 if ok else 1
+    return _emit_reports(cfg, SPACES, timed=False)
 
 
 def _cmd_constraints(cfg):
@@ -219,7 +212,7 @@ def _cmd_sweep(cfg):
             b_range=(cfg["b-min"], cfg["b-max"]),
             resolution=cfg["resolution"],
             tolerance=cfg["tolerance"],
-            t_samples=numeric.default_t_samples(cfg["t-samples"]),
+            t_samples=cfg["t-samples"],
         )
     except numeric.SweepInputError as exc:
         sys.stderr.write("%s\n" % exc)
@@ -320,10 +313,13 @@ def resolve_config(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a bad config, a space without a family or an unwritable --output is
-    # a usage error
+    # a bad config, a missing --space, a space without a family or an
+    # unwritable --output is a usage error
     try:
-        return COMMANDS[args.command](resolve_config(args, parser))
+        cfg = resolve_config(args, parser)
+        if cfg["space"] is None and args.command != "report-all":
+            raise SystemExit("%s needs --space" % args.command)
+        return COMMANDS[args.command](cfg)
     except SystemExit as exc:
         sys.stderr.write("%s\n" % exc)
         return 2

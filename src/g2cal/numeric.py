@@ -6,26 +6,28 @@ results and drive the parameter sweep.  Each Z_k is a pair (U_k, V_k) of
 real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
 polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
 numpy arrays, so many points are evaluated at once.  _coefficients is the
-one walk of the residual forms: it stacks the r0 and r1 coefficients in
-two arrays (c0, c1), one row per sample, system and monomial, taking
-max(1, 2**14 // points) t samples per evaluation.  The least-squares sums,
-fitted mu, max-norm and Gauss-Newton rows are whole-array operations on
-those rows, and the sums add the rows strictly left to right, in blocks
-of at most 2**14 elements, so that a point's sums do not depend on the
-rest of its batch.  The sweep screens every lambda slice with
+one walk of the residual forms: it takes the t samples in runs of
+max(1, 2**14 // points), and gives each run a pair of arrays (c0, c1) of
+r0 and r1 coefficients, one row per sample, system and monomial.  The
+least-squares sums, fitted mu, max-norm and Gauss-Newton rows are
+whole-array operations on a run's rows, and the sums add the rows
+strictly left to right, run after run, so that a point's sums do not
+depend on the rest of its batch.  The sweep screens every lambda slice with
 least-squares sums interpolated from Chebyshev nodes in (a, b), exact
 since they have low degree there, and evaluates directly only where a
 hit or the slice minimum can be.  Consecutive slices share each of those
 evaluations, lam an array axis, up to _PACK_SAMPLES point-samples at a
 time.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu).
-numeric_sweep checks every argument first, in _check_inputs, and refuses a
-bad one with SweepInputError, a ValueError naming it.
+numeric_sweep takes the number of t samples, not the samples, checks every
+argument first, in _check_inputs, and refuses a bad one with
+SweepInputError, a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -209,26 +211,26 @@ def residual_parts(which, system, lam, a, b, t):
 
 
 # Array elements per _system_parts call of _coefficients: a batch of
-# `points` points takes max(1, _RUN_ELEMENTS // points) samples at a time.
-# The sums over the rows take blocks of at most as many elements.
+# `points` points takes max(1, _RUN_ELEMENTS // points) samples per run,
+# and the sums over the rows take one run at a time.
 _RUN_ELEMENTS = 2**14
 
 
 def _coefficients(which, system, lam, a, b, t_samples):
-    """(c0, c1): the coefficients of r0 and r1, one row per sample, system
-    and monomial, in that order.
+    """[(c0, c1)] per run of samples, in sample order: the coefficients of
+    r0 and r1, one row per sample, system and monomial, in that order.
 
-    system is "nhf", "flow" or "both".  Both arrays are C-contiguous, of
-    shape (rows, *shape) with shape the broadcast shape of (lam, a, b),
-    with zeros where one of r0, r1 lacks the monomial.  They are filled
-    run by run from _system_parts, which takes the samples in runs on a
-    leading axis.  Consumers add over the rows in order, so sums at one
-    point depend neither on the runs nor on the other points of the batch.
+    system is "nhf", "flow" or "both".  Each run is one _system_parts call,
+    its samples on a leading axis.  c0 and c1 are C-contiguous, of shape
+    (rows, *shape) with shape the broadcast shape of (lam, a, b), with
+    zeros where one of r0, r1 lacks the monomial.  Consumers add over the
+    rows in order, run after run, so sums at one point depend neither on
+    the runs nor on the other points of the batch.
     """
     shape = np.broadcast(lam, a, b).shape
     run = max(1, _RUN_ELEMENTS // math.prod(shape))
     systems = ("nhf", "flow") if system == "both" else (system,)
-    c0 = c1 = None
+    runs = []
     for start in range(0, len(t_samples), run):
         t = np.reshape(t_samples[start : start + run], (-1,) + (1,) * len(shape))
         parts = [
@@ -236,24 +238,15 @@ def _coefficients(which, system, lam, a, b, t_samples):
             for r0, r1 in _system_parts(which, systems, lam, a, b, t)
             for m in set(r0) | set(r1)
         ]
-        if c0 is None:
-            full = (len(t_samples), len(parts)) + shape
-            dtype = np.result_type(lam, a, b, t)
-            c0, c1 = np.empty(full, dtype), np.empty(full, dtype)
-        stop = start + t.shape[0]
+        rows = (t.shape[0] * len(parts),) + shape
+        dtype = np.result_type(lam, a, b, t)
+        c0, c1 = np.empty(rows, dtype), np.empty(rows, dtype)
         for j, (v0, v1) in enumerate(parts):
-            c0[start:stop, j] = v0
-            c1[start:stop, j] = v1
+            c0[j :: len(parts)] = v0  # row j of every sample
+            c1[j :: len(parts)] = v1
         del parts  # released before the next run is built
-    rows = (-1,) + shape
-    return c0.reshape(rows), c1.reshape(rows)
-
-
-def _blocks(c):
-    """Slices of consecutive rows of c, of at most _RUN_ELEMENTS elements
-    and at least one row each."""
-    size = max(1, _RUN_ELEMENTS // math.prod(c.shape[1:]))
-    return [slice(k, k + size) for k in range(0, len(c), size)]
+        runs.append((c0, c1))
+    return runs
 
 
 def _row_sum(terms, total):
@@ -271,11 +264,10 @@ def _row_sum(terms, total):
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _lsq(c0, c1, squares=False):
+def _lsq(runs, squares=False):
     """(num, den[, s00]): sums of c0·c1, c1^2 [and c0^2] over the rows."""
     sums = [0.0] * (3 if squares else 2)
-    for rows in _blocks(c0):
-        x, y = c0[rows], c1[rows]
+    for x, y in runs:
         sums[0] = _row_sum(x * y, sums[0])
         sums[1] = _row_sum(y * y, sums[1])
         if squares:
@@ -287,12 +279,12 @@ def _fit_mu(num, den):
     return np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
 
 
-def _max_norm(c0, c1, mu):
+def _max_norm(runs, mu):
     """max |c0 - mu·c1| over the rows."""
     out = None
-    for rows in _blocks(c0):
-        d = mu * c1[rows]
-        np.abs(np.subtract(c0[rows], d, out=d), out=d)
+    for c0, c1 in runs:
+        d = mu * c1
+        np.abs(np.subtract(c0, d, out=d), out=d)
         d = d.max(axis=0) if len(d) > 1 else d[0]
         out = d if out is None else np.maximum(out, d)
     return out
@@ -300,14 +292,14 @@ def _max_norm(c0, c1, mu):
 
 def best_mu_residual(which, system, lam, a, b, t_samples):
     """Least-squares mu over all samples, and the residual max with it."""
-    c0, c1 = _coefficients(which, system, lam, a, b, t_samples)
-    mu = _fit_mu(*_lsq(c0, c1))
-    return mu, _max_norm(c0, c1, mu)
+    runs = _coefficients(which, system, lam, a, b, t_samples)
+    mu = _fit_mu(*_lsq(runs))
+    return mu, _max_norm(runs, mu)
 
 
 def default_t_samples(count=9):
-    """Samples strictly inside (0, pi/3), away from the singular orbits."""
-    step = math.pi / 3.0 / (_t_count(count) + 1)
+    """count samples strictly inside (0, pi/3), away from the singular orbits."""
+    step = math.pi / 3.0 / (count + 1)
     return [step * (j + 1) for j in range(count)]
 
 
@@ -325,24 +317,25 @@ class MeshTooLarge(SweepInputError):
     """A sweep box whose mesh is too large to build."""
 
 
-def _t_count(count):
-    """count, if numeric_sweep accepts that many t samples: one slice's
-    _NODES**2 node points are never split, so at most MAX_MESH point-samples."""
-    most = MAX_MESH // _NODES**2
-    if not 1 <= count <= most:
-        raise SweepInputError("t_samples must hold 1 to %d samples, got %d" % (most, count))
-    return count
-
-
-def _check_inputs(ranges, resolution, tolerance, t_samples):
+def _check_inputs(which, system, ranges, resolution, tolerance, t_samples):
     """Raise SweepInputError naming the argument unless numeric_sweep can run:
-    tolerance and resolution positive, 1 to MAX_MESH // _NODES**2 t samples,
-    each range finite with lo <= hi and, when lo < hi, more than half a
-    resolution step wide, and the mesh not too large (MeshTooLarge)."""
+    which and system known, tolerance and resolution positive, t_samples a
+    count from 1 to MAX_MESH // _NODES**2 (one slice's _NODES**2 node points
+    are never split, so at most MAX_MESH point-samples), each range finite
+    with lo <= hi and, when lo < hi, more than half a resolution step wide,
+    and the mesh not too large (MeshTooLarge)."""
+    if which not in ("s7", "b7"):
+        raise SweepInputError("which must be 's7' or 'b7', got %r" % (which,))
+    if system not in ("nhf", "flow", "both"):
+        raise SweepInputError("system must be 'nhf', 'flow' or 'both', got %r" % (system,))
     for name, value in (("tolerance", tolerance), ("resolution", resolution)):
         if not value > 0:  # also NaN
             raise SweepInputError("%s must be positive, got %r" % (name, value))
-    _t_count(len(t_samples))
+    most = MAX_MESH // _NODES**2
+    if not isinstance(t_samples, numbers.Integral):
+        raise SweepInputError("t_samples must be a count of samples, got %r" % (t_samples,))
+    if not 1 <= t_samples <= most:
+        raise SweepInputError("t_samples must hold 1 to %d samples, got %d" % (most, t_samples))
     points = []
     for axis, (lo, hi) in zip(("lambda", "a", "b"), ranges):
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -455,12 +448,12 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     samples = len(t_samples)
     node_sums, n = [], 0
     for pack in _packs(range(lams.size), lambda k: a_nodes.size * b_nodes.size * samples):
-        c0, c1 = _coefficients(
+        runs = _coefficients(
             which, system, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
         )
-        node_sums.extend(zip(*_lsq(c0, c1, squares=True)))
-        n = len(c0)  # the row count
-        del c0, c1  # released before the next pack is built
+        node_sums.extend(zip(*_lsq(runs, squares=True)))
+        n = sum(len(c0) for c0, _ in runs)  # the row count
+        del runs  # released before the next pack is built
     # per slice: None for the whole mesh, else the scales of its node sums,
     # its ss-argmin and the interpolated sums there
     screens = []
@@ -476,8 +469,8 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     for pack in _packs([k for k, screen in enumerate(screens) if screen], lambda k: samples):
         i0, j0 = np.transpose([screens[k][1] for k in pack])
         at_min = _coefficients(which, system, lams[pack], avals[i0], bvals[j0], t_samples)
-        direct = _lsq(*at_min, squares=True)
-        m0 = _max_norm(*at_min, _fit_mu(*direct[:2]))
+        direct = _lsq(at_min, squares=True)
+        m0 = _max_norm(at_min, _fit_mu(*direct[:2]))
         del at_min  # and not held through the candidates
         for p, k in enumerate(pack):
             scales, _, interpolated = screens[k]
@@ -536,8 +529,8 @@ def _residual_rows(which, system, points, t_samples):
     systems and monomials, in the order of _coefficients.
     """
     lam, a, b, mu = np.asarray(points, dtype=float).T
-    c0, c1 = _coefficients(which, system, lam, a, b, t_samples)
-    return (c0 - mu * c1).T
+    runs = _coefficients(which, system, lam, a, b, t_samples)
+    return np.concatenate([c0 - mu * c1 for c0, c1 in runs]).T
 
 
 # Gauss-Newton steps per polish, the forward-difference step of its
@@ -597,10 +590,11 @@ def numeric_sweep(
     b_range=(-2.0, 2.0),
     resolution=0.05,
     tolerance=1e-6,
-    t_samples=None,
+    t_samples=9,
 ):
     """Grid search for residual zeros, chunked over lambda.
 
+    Residuals are fitted over the t_samples samples of default_t_samples.
     Returns a list of dicts {lam, a, b, mu, residual, count}: every grid
     point whose fitted residual is below tolerance (count 1).  When no
     grid point hits, the per-slice minima are polished instead and those
@@ -617,9 +611,8 @@ def numeric_sweep(
     Arguments it refuses raise SweepInputError, a ValueError naming the
     argument (MeshTooLarge when the mesh is too large), before any work.
     """
-    if t_samples is None:
-        t_samples = default_t_samples()
-    _check_inputs((lambda_range, a_range, b_range), resolution, tolerance, t_samples)
+    _check_inputs(which, system, (lambda_range, a_range, b_range), resolution, tolerance, t_samples)
+    t_samples = default_t_samples(t_samples)
     lams = _grid(*lambda_range, resolution)
     avals = _grid(*a_range, resolution)
     bvals = _grid(*b_range, resolution)

@@ -169,12 +169,6 @@ def verify_connection():
         if curv[k - 1] != Phi[k - 1]:
             failures.append("curvature component %d" % k)
 
-    # kappa read off the first component
-    got = curv[0].coefficient(("dt", "e1")).const_value()
-    ref = omega[0].coefficient(("dt", "e1")).const_value()
-    if got * 2 != ref:
-        failures.append("kappa != 1")
-
     # Bianchi-type identity: d(Phi) + 2 Im(phi ^ Phi) = 0
     bianchi = [ext_d(P, cf) + w.scale(2) for P, w in zip(Phi, quat_wedge(phi, Phi)[1:])]
     if not all(b.is_zero() for b in bianchi):

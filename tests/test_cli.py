@@ -70,6 +70,13 @@ def test_verify_requires_space(capsys):
     assert "space" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "constraints", "sweep"])
+def test_space_commands_need_space(capsys, command):
+    # refused by name as a usage error, before any space is looked up
+    code, out, err = run(capsys, command, "--format", "json")
+    assert (code, out, err) == (2, "", "%s needs --space\n" % command)
+
+
 def test_unknown_space_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--space", "nope"])

@@ -213,28 +213,53 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
     # every case takes its samples in runs on a leading axis and both
     # systems from one shared frame; the reference takes one residual_parts
     # call per sample and system, and lists the coefficients in the same
-    # order as the rows of (c0, c1): sample, then system, then monomial
+    # order as the rows of the runs' (c0, c1) one after the other: sample,
+    # then system, then monomial
     samples = numeric.default_t_samples()
     shape = np.broadcast(lam, a, b).shape
-    c0, c1 = numeric._coefficients(which, "both", lam, a, b, samples)
+    runs = numeric._coefficients(which, "both", lam, a, b, samples)
     ref = [
         (r0.get(m, 0.0), r1.get(m, 0.0))
         for r0, r1 in _parts_by_system(which, lam, a, b, samples)
         for m in set(r0) | set(r1)
     ]
-    for c in (c0, c1):
-        assert c.shape == (len(ref),) + shape
-        assert c.flags.c_contiguous
-    for got, want in zip((c0, c1), zip(*ref)):
+    for run in runs:
+        for c in run:
+            assert c.shape[1:] == shape
+            assert c.flags.c_contiguous
+    for got, want in zip(zip(*runs), zip(*ref)):
+        got = np.concatenate(got)
+        assert got.shape == (len(ref),) + shape
         want = np.stack([np.broadcast_to(w, shape) for w in want])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     mu, res = numeric.best_mu_residual(which, "both", lam, a, b, samples)
     ref_mu, ref_res = _reference_best_mu(which, lam, a, b, samples)
     np.testing.assert_allclose(mu, ref_mu, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res, ref_res, rtol=0, atol=1e-12)
-    worst = numeric._max_norm(c0, c1, -1.7)
+    worst = numeric._max_norm(runs, -1.7)
     ref_worst = _reference_max(_parts_by_system(which, lam, a, b, samples), -1.7)
     np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam, a, b",
+    [(0.9, 0.4, -0.3), (1.3, np.array([[-1.0], [0.2], [1.5]]), np.array([[-0.7, 0.0, 0.3, 1.1]])),
+     tuple(_BATCH[:, :7])],
+    ids=["point", "mesh", "batch7"],
+)
+@pytest.mark.parametrize("elements", [1, 14, 20, 2**14])
+def test_runs_hold_at_most_the_run_budget(monkeypatch, lam, a, b, elements):
+    # a batch of `points` points takes max(1, elements // points) samples
+    # per run, in sample order: every run but the last is full
+    samples = numeric.default_t_samples()
+    per_sample = len(numeric._coefficients("b7", "both", lam, a, b, samples[:1])[0][0])
+    monkeypatch.setattr(numeric, "_RUN_ELEMENTS", elements)
+    most = max(1, elements // np.broadcast(lam, a, b).size)
+    runs = numeric._coefficients("b7", "both", lam, a, b, samples)
+    sizes = [len(c0) // per_sample for c0, _ in runs]
+    assert all(len(c0) == size * per_sample for (c0, _), size in zip(runs, sizes))
+    assert sum(sizes) == len(samples)
+    assert all(size == most for size in sizes[:-1]) and 1 <= sizes[-1] <= most
 
 
 @pytest.mark.parametrize("which", ["s7", "b7"])
@@ -546,12 +571,11 @@ def test_slices_past_the_budget_match_one_slice_per_pack(monkeypatch, which, sys
     # with 300 samples one slice's 7 x 7 nodes hold 14700 point-samples,
     # more than the budget, so each is evaluated alone; the ss-argmins
     # still share packs.  A budget of 0 puts every slice in a pack of its own
-    samples = numeric.default_t_samples(300)
-    assert numeric._NODES**2 * len(samples) > numeric._PACK_SAMPLES
-    hits = numeric.numeric_sweep(which, system, t_samples=samples, **box)
+    assert numeric._NODES**2 * 300 > numeric._PACK_SAMPLES
+    hits = numeric.numeric_sweep(which, system, t_samples=300, **box)
     assert hits
     monkeypatch.setattr(numeric, "_PACK_SAMPLES", 0)
-    assert numeric.numeric_sweep(which, system, t_samples=samples, **box) == hits
+    assert numeric.numeric_sweep(which, system, t_samples=300, **box) == hits
 
 
 @pytest.mark.parametrize(
@@ -636,12 +660,20 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, message):
     ({"tolerance": math.nan}, "tolerance must be positive"),
     ({"tolerance": 0.0}, "tolerance must be positive"),
     ({"tolerance": -1.0}, "tolerance must be positive"),
-    ({"t_samples": []}, "t_samples must hold 1 to 20408 samples, got 0"),
-    ({"t_samples": [0.5] * 20409}, "t_samples must hold 1 to 20408 samples, got 20409"),
+    ({"t_samples": 0}, "t_samples must hold 1 to 20408 samples, got 0"),
+    ({"t_samples": 20409}, "t_samples must hold 1 to 20408 samples, got 20409"),
+    # t_samples counts the samples of default_t_samples; it is not a list
+    # of samples, which could sit on a singular orbit or be NaN
+    ({"t_samples": [0.0]}, "t_samples must be a count of samples, got [0.0]"),
+    ({"t_samples": [math.nan]}, "t_samples must be a count of samples, got [nan]"),
+    ({"t_samples": 2.5}, "t_samples must be a count of samples, got 2.5"),
+    ({"which": "s9"}, "which must be 's7' or 'b7', got 's9'"),
+    ({"system": "foo"}, "system must be 'nhf', 'flow' or 'both', got 'foo'"),
 ], ids=["a-inverted", "a-inverted-narrow", "resolution-zero", "resolution-negative",
         "resolution-nan", "b-nan", "lambda-inf", "resolution-coarse", "resolution-inf",
         "tolerance-nan", "tolerance-zero", "tolerance-negative", "t-samples-empty",
-        "t-samples-too-many"])
+        "t-samples-too-many", "t-samples-list", "t-samples-nan-list", "t-samples-float",
+        "which-unknown", "system-unknown"])
 def test_sweep_rejects_malformed_box(monkeypatch, box, message):
     # the library call names the bad argument before building any grid
     def never(*args):
@@ -650,7 +682,7 @@ def test_sweep_rejects_malformed_box(monkeypatch, box, message):
     monkeypatch.setattr(numeric, "_grid", never)
     monkeypatch.setattr(numeric, "_screen", never)
     with pytest.raises(numeric.SweepInputError) as exc:
-        numeric.numeric_sweep("b7", "nhf", **box)
+        numeric.numeric_sweep(**{"which": "b7", "system": "nhf", **box})
     assert not isinstance(exc.value, numeric.MeshTooLarge)
     assert str(exc.value).startswith(message)
 
@@ -659,7 +691,7 @@ def test_sweep_keeps_zero_width_ranges_at_any_resolution():
     # a range with lo == hi is one grid point, whatever the resolution
     hits = numeric.numeric_sweep(
         "s7", "nhf", lambda_range=(0.5, 0.5), a_range=(0.0, 0.0), b_range=(0.0, 0.0),
-        resolution=math.inf, t_samples=numeric.default_t_samples(5),
+        resolution=math.inf, t_samples=5,
     )
     assert [(h["lam"], h["a"], h["b"]) for h in hits] == [(0.5, 0.0, 0.0)]
 
