@@ -9,18 +9,27 @@ numpy arrays, so many points are evaluated at once.  _coefficients is the
 one walk of the residual forms: it takes the t samples in runs of
 max(1, 2**14 // points), and gives each run a pair of arrays (c0, c1) of
 r0 and r1 coefficients, one row per sample, system and monomial.  The
-least-squares sums, fitted mu, max-norm and Gauss-Newton rows are
-whole-array operations on a run's rows, and the sums add the rows
-strictly left to right, run after run, so that a point's sums do not
-depend on the rest of its batch.  The sweep screens every lambda slice with
-least-squares sums interpolated from Chebyshev nodes in (a, b), exact
-since they have low degree there, and evaluates directly only where a
-hit or the slice minimum can be.  Consecutive slices share each of those
-evaluations, lam an array axis, up to _PACK_SAMPLES point-samples at a
-time.  It polishes the best grid minima by Gauss-Newton in (lam, a, b, mu).
-numeric_sweep takes the number of t samples, not the samples, checks every
-argument first, in _check_inputs, and refuses a bad one with
-SweepInputError, a ValueError naming it.
+least-squares sums, fitted mu and max-norm are whole-array operations on
+a run's rows, and the sums add the rows strictly left to right, run after
+run, so that a point's sums do not depend on the rest of its batch.
+
+_model fits each system once per process, from one _coefficients call,
+as a polynomial of degree <= 3 in each of lam, a and b with Fourier modes
+|k| <= 3 in t, and refuses the fit with ArithmeticError when it finds
+degree or mode 4 or a coefficient that is neither rounding nor a true
+one.  The model only steers the sweep: it gives the screen's node sums
+and each Gauss-Newton step with its exact Jacobian.  Every number the
+sweep reports (hits, minima, residuals) is the direct evaluator's.
+
+The sweep screens every lambda slice with least-squares sums interpolated
+from Chebyshev nodes in (a, b), exact since they have low degree there,
+and evaluates directly only where a hit or the slice minimum can be.
+Consecutive slices share each of those evaluations, lam an array axis,
+up to _PACK_SAMPLES point-samples at a time.  It polishes the best grid
+minima by Gauss-Newton in (lam, a, b, mu).  numeric_sweep takes the
+number of t samples, not the samples, checks every argument first, in
+_check_inputs, and refuses a bad one with SweepInputError, a ValueError
+naming it.
 """
 
 from __future__ import annotations
@@ -210,8 +219,8 @@ def residual_parts(which, system, lam, a, b, t):
     return _system_parts(which, (system,), lam, a, b, t)[0]
 
 
-# Array elements per _system_parts call of _coefficients: a batch of
-# `points` points takes max(1, _RUN_ELEMENTS // points) samples per run,
+# Array elements per run of _coefficients and _model_coefficients: a batch
+# of `points` points takes max(1, _RUN_ELEMENTS // points) samples per run,
 # and the sums over the rows take one run at a time.
 _RUN_ELEMENTS = 2**14
 
@@ -246,6 +255,95 @@ def _coefficients(which, system, lam, a, b, t_samples):
             c1[j :: len(parts)] = v1
         del parts  # released before the next run is built
         runs.append((c0, c1))
+    return runs
+
+
+# The polynomial model of each system.  Every r0 and r1 coefficient has
+# degree <= _DEGREE in each of lam, a and b and Fourier modes |k| <= _DEGREE
+# in t: Re Xi, Im Xi and d/dt Re Xi are cubic in the Z_k, each affine in
+# lam, a and b with modes |k| <= 1, and xi ^ xi stays within that bound.
+# The fit allows one degree and one mode more, which must come out zero.
+_DEGREE = 3
+# A fitted coefficient at most _ZERO times the largest is rounding, and is
+# stored as exactly 0; a true one is at least _TRUE times the largest.
+_ZERO = 1e-12
+_TRUE = 1e-6
+
+
+def _trig(t, modes):
+    """(len(t), 2 modes + 1): 1, cos t, sin t, ..., cos(modes t), sin(modes t)."""
+    kt = np.multiply.outer(t, np.arange(1, modes + 1))
+    waves = np.stack([np.cos(kt), np.sin(kt)], axis=-1).reshape(len(t), -1)
+    return np.column_stack([np.ones(len(t)), waves])
+
+
+@functools.cache
+def _model(which, system):
+    """(exps, coef): the r0 and r1 coefficients of `system` as polynomials.
+
+    exps (M, 3) holds the exponents of lam, a and b of the M monomials that
+    occur, and coef (2 _DEGREE + 1, 2, rows, M) their coefficients per mode
+    of _trig, part (r0, r1) and row of one sample of _coefficients.  Fitted
+    from one _coefficients call on a 5 x 5 x 5 grid of Chebyshev nodes
+    spanning [-2, 2] in (lam, a, b), at 9 equispaced t.  Raises
+    ArithmeticError when a coefficient lies between rounding and a true
+    one, or when degree 4 or mode 4 is not zero: then the degree bound is
+    wrong, and the model would be too.
+    """
+    nodes = 2.0 * np.cos(np.pi * (np.arange(5) + 0.5) / 5)
+    t = 2.0 * np.pi * np.arange(9) / 9
+    runs = _coefficients(which, system, nodes[:, None, None], nodes[:, None], nodes, t)
+    values = np.stack([np.concatenate(part) for part in zip(*runs)]).reshape(2, 9, -1, 5, 5, 5)
+    power = np.linalg.inv(np.vander(nodes, increasing=True))
+    trig = np.linalg.inv(_trig(t, 4))
+    coef = np.einsum("ms,pi,qj,rl,zsnijl->mznpqr", trig, power, power, power, values, optimize=True)
+    size = np.abs(coef) / np.max(np.abs(coef))
+    name = "the %s %s model" % (which, system)
+    if np.any((_ZERO < size) & (size < _TRUE)):
+        raise ArithmeticError("%s has a coefficient %.3g times the largest, neither rounding nor"
+                              " a true one" % (name, np.min(size[_ZERO < size])))
+    coef[size <= _ZERO] = 0.0
+    low = coef[: 2 * _DEGREE + 1, ..., : _DEGREE + 1, : _DEGREE + 1, : _DEGREE + 1]
+    if np.count_nonzero(low) < np.count_nonzero(coef):
+        raise ArithmeticError("%s has degree or mode %d: the degree bound is wrong"
+                              % (name, _DEGREE + 1))
+    occurs = np.any(low, axis=(0, 1, 2))
+    return np.argwhere(occurs), low[..., occurs]
+
+
+def _model_terms(coef, t):
+    """(2, len(t)·rows, M): per part, the rows of _coefficients at the
+    samples t, as coefficients of the monomials."""
+    terms = np.tensordot(_trig(t, _DEGREE), coef, axes=1)  # sample, part, row, monomial
+    return terms.transpose(1, 0, 2, 3).reshape(2, -1, coef.shape[-1])
+
+
+def _powers(x):
+    """(_DEGREE + 1, *x.shape): x**0, x**1, ..., x**_DEGREE."""
+    powers = [np.ones_like(x)]
+    for _ in range(_DEGREE):
+        powers.append(powers[-1] * x)
+    return np.stack(powers)
+
+
+def _monomials(exps, lam, a, b):
+    """(M, points): the monomials exps at the points (lam, a, b), broadcast
+    and flattened."""
+    zero = np.zeros(np.broadcast(lam, a, b).shape)
+    powers = _powers(np.stack([np.ravel(x + zero) for x in (lam, a, b)]))
+    return powers[exps, np.arange(3)].prod(axis=1)
+
+
+def _model_coefficients(which, system, lam, a, b, t_samples):
+    """_coefficients from the model: the same runs, rows and shapes, to rounding."""
+    exps, coef = _model(which, system)
+    shape = np.broadcast(lam, a, b).shape
+    monomials = _monomials(exps, lam, a, b)
+    run = max(1, _RUN_ELEMENTS // math.prod(shape))
+    runs = []
+    for start in range(0, len(t_samples), run):
+        c = _model_terms(coef, np.asarray(t_samples[start : start + run])) @ monomials
+        runs.append(tuple(c.reshape((2, -1) + shape)))
     return runs
 
 
@@ -332,7 +430,7 @@ def _check_inputs(which, system, ranges, resolution, tolerance, t_samples):
         if not value > 0:  # also NaN
             raise SweepInputError("%s must be positive, got %r" % (name, value))
     most = MAX_MESH // _NODES**2
-    if not isinstance(t_samples, numbers.Integral):
+    if isinstance(t_samples, bool) or not isinstance(t_samples, numbers.Integral):
         raise SweepInputError("t_samples must be a count of samples, got %r" % (t_samples,))
     if not 1 <= t_samples <= most:
         raise SweepInputError("t_samples must hold 1 to %d samples, got %d" % (most, t_samples))
@@ -431,24 +529,25 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     lams is an array.  Returns [(hits, (res, lam, a, b, mu))], one entry
     per lam, each the same as best_mu_residual on that slice's whole mesh
     with ties taken in row-major order.  The least-squares sums are taken
-    at _NODES x _NODES nodes and interpolated to the mesh, giving
-    ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
+    from the model at _NODES x _NODES nodes and interpolated to the mesh,
+    giving ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
     max^2 <= ss <= n·max^2, so once the ss-argmin's max-norm M0 is known,
     only points with ss <= n·max(M0, tolerance)^2 can be a hit or the
     minimum; just those are evaluated directly (all points when the sums
     near overflow, see _SUM_CEILING).  Each of the three evaluations (node
     sums, ss-argmins, candidates) takes the slices in _packs, lam an array
-    axis; sums at one point do not depend on the batch, so every slice
-    gets the bits it would alone.  Raises ArithmeticError at the first
-    slice whose sums interpolated at the ss-argmin disagree with a direct
-    evaluation there, since then the degree bound behind _NODES is wrong.
+    axis.  The last two are direct, and their sums at one point do not
+    depend on the batch, so every slice gets the bits it would alone.
+    Raises ArithmeticError at the first slice whose sums interpolated at
+    the ss-argmin disagree with a direct evaluation there, since then the
+    degree bound behind _NODES, or the model, is wrong.
     """
     a_nodes, la = _interpolator(avals)
     b_nodes, lb = _interpolator(bvals)
     samples = len(t_samples)
     node_sums, n = [], 0
     for pack in _packs(range(lams.size), lambda k: a_nodes.size * b_nodes.size * samples):
-        runs = _coefficients(
+        runs = _model_coefficients(
             which, system, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
         )
         node_sums.extend(zip(*_lsq(runs, squares=True)))
@@ -533,39 +632,56 @@ def _residual_rows(which, system, points, t_samples):
     return np.concatenate([c0 - mu * c1 for c0, c1 in runs]).T
 
 
-# Gauss-Newton steps per polish, the forward-difference step of its
-# Jacobian, and the halvings of a step that leaves the box.  Near a zero
-# the polish converges in a few steps; the cap ends those that start far
-# from one.
+# Gauss-Newton steps per polish, and the halvings of a step that leaves
+# the box.  Near a zero the polish converges in a few steps; the cap ends
+# those that start far from one.
 _STEPS = 20
-_JAC_STEP = 1e-7
 _HALVINGS = 8
+
+
+def _monomial_jacobian(exps, point):
+    """(M, 4): the monomials exps at point (lam, a, b), and their
+    derivatives in lam, a and b."""
+    powers = _powers(point)
+    slopes = np.zeros_like(powers)
+    slopes[1:] = np.arange(1, _DEGREE + 1)[:, None] * powers[:-1]
+    axes = np.arange(3)
+    f, df = powers[exps, axes], slopes[exps, axes]  # (M, 3), one factor per variable
+    return np.stack([f.prod(1)] + [np.where(axes == v, df, f).prod(1) for v in axes], axis=-1)
+
+
+def _max_abs(r):
+    """max |r|, or inf where r is not finite."""
+    return float(np.max(np.abs(r))) if np.all(np.isfinite(r)) else math.inf
 
 
 def _refine(which, system, point, t_samples, tolerance, bounds):
     """Gauss-Newton polish of a candidate zero; returns (point, mu, res).
 
-    point is (lam, a, b, mu).  The residual coefficients are polynomial in
-    all four, so each step solves the linearised system in the least-squares
-    sense, with a forward-difference Jacobian from one batched evaluation
-    of the point and its four neighbours.  A step that would leave
-    `bounds` (the sweep box), change the sign of lam or reach
-    |lam| <= _LAM_FLOOR is halved up to _HALVINGS times.  The polish stops
-    below `tolerance`, after _STEPS steps, or when no halving of a step
-    stays inside.  res is max |residual| at the returned point and mu, or
-    inf where the residual is not finite.
+    point is (lam, a, b, mu).  The residual coefficients r0 - mu r1 are
+    polynomial in all four, so each step solves the linearised system in
+    the least-squares sense.  The steps follow the model of the system:
+    one evaluation at the point gives the residual and its exact Jacobian,
+    the derivatives of the monomials in lam, a and b, and -r1 for mu.  A
+    step that would leave `bounds` (the sweep box), change the sign of lam
+    or reach |lam| <= _LAM_FLOOR is halved up to _HALVINGS times.  The
+    polish stops where the model's residual is below `tolerance`, after
+    _STEPS steps, or when no halving of a step stays inside.  res is
+    max |residual| of one direct evaluation at the returned point and mu,
+    or inf where that residual is not finite.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    stencil = np.vstack([np.zeros(4), _JAC_STEP * np.eye(4)])
+    exps, coef = _model(which, system)
+    terms = _model_terms(coef, np.asarray(t_samples))
     for step in range(_STEPS + 1):
-        rows = _residual_rows(which, system, x + stencil, t_samples)
-        r = rows[0]
-        res = float(np.max(np.abs(r))) if np.all(np.isfinite(r)) else math.inf
-        if res < tolerance or step == _STEPS or not np.all(np.isfinite(rows)):
+        c0, c1 = terms @ _monomial_jacobian(exps, x[:3])
+        r = c0[:, 0] - x[3] * c1[:, 0]
+        jac = np.column_stack([c0[:, 1:] - x[3] * c1[:, 1:], -c1[:, 0]])
+        res = _max_abs(r)
+        if res < tolerance or step == _STEPS or not (res < math.inf and np.all(np.isfinite(jac))):
             break
-        jac = (rows[1:] - r).T / _JAC_STEP
         delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
         for _ in range(_HALVINGS + 1):
             nxt = x + delta
@@ -579,6 +695,7 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
         else:
             break
         x = nxt
+    res = _max_abs(_residual_rows(which, system, [x], t_samples)[0])
     return tuple(float(v) for v in x[:3]), float(x[3]), res
 
 

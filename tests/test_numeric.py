@@ -3,9 +3,11 @@
 import ast
 import collections
 import math
+import os
 import pathlib
-import sys
 import random
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -18,6 +20,7 @@ from g2cal.structures import (
     MU_CANON,
     nhf_residual,
     flow_residual,
+    system_constraints,
 )
 from g2cal import numeric
 
@@ -319,6 +322,99 @@ def test_numeric_imports_only_stdlib_and_numpy():
             assert root == "numpy" or root in sys.stdlib_module_names, root
 
 
+def test_numeric_builds_no_model_at_import():
+    src = pathlib.Path(numeric.__file__).resolve().parents[1]
+    code = "import g2cal.numeric as n; print(n._model.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+_PAIRS = [(which, system) for which in ("s7", "b7") for system in ("nhf", "flow", "both")]
+
+
+def _model_polynomials(which, system):
+    """The model's nonzero (row, mode) polynomials r0 - mu r1, each as
+    {exponents of (lam, a, b, mu): coefficient}."""
+    exps, coef = numeric._model(which, system)
+    polys = []
+    for mode in range(coef.shape[0]):
+        for row in range(coef.shape[2]):
+            p = {}
+            for part, sign in ((0, 1.0), (1, -1.0)):
+                for e, c in zip(exps.tolist(), coef[mode, part, row]):
+                    if c:
+                        p[(*e, part)] = sign * float(c)
+            if p:
+                polys.append(p)
+    return polys
+
+
+def _normalised(p):
+    """p over its graded-lex leading coefficient, as in normalize_constraint."""
+    lead = p[max(p, key=lambda e: (sum(e), e))]
+    return {e: c / lead for e, c in p.items()}
+
+
+@pytest.mark.parametrize("which, system", _PAIRS)
+def test_model_polynomials_are_the_exact_constraints(which, system):
+    # every (row, mode) polynomial of the float model, normalised, is one of
+    # the exact engine's constraints, and every constraint is met
+    exact = [
+        {e: c.const_value().to_float() for e, c in p.terms.items()}
+        for p in system_constraints(AnsatzFamily(which), system)
+    ]
+    met = set()
+    for p in map(_normalised, _model_polynomials(which, system)):
+        same = [k for k, q in enumerate(exact)
+                if set(q) == set(p) and all(abs(p[e] - q[e]) <= 1e-9 for e in p)]
+        assert same, p
+        met.update(same)
+    assert met == set(range(len(exact)))
+
+
+@pytest.mark.parametrize("which, system", _PAIRS)
+def test_model_matches_direct_rows(which, system):
+    rng = np.random.default_rng(zlib.crc32(("%s-%s" % (which, system)).encode()))
+    points = rng.uniform((0.1, -3.0, -2.0, -3.0), (2.0, 3.0, 2.0, 3.0), (100, 4))
+    samples = numeric.default_t_samples()
+    want = numeric._residual_rows(which, system, points, samples)
+    lam, a, b, mu = points.T
+    runs = numeric._model_coefficients(which, system, lam, a, b, samples)
+    got = np.concatenate([c0 - mu * c1 for c0, c1 in runs]).T
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def fresh_models():
+    numeric._model.cache_clear()
+    yield
+    numeric._model.cache_clear()
+
+
+@pytest.mark.parametrize("which, system", [("s7", "nhf"), ("b7", "both")])
+@pytest.mark.parametrize("change, message", [
+    # lam f_1 becomes lam^2 f_1 on s7, 2 lam p_1 becomes 2 lam^2 p_1 on b7
+    (lambda c, lam: c * lam, "has degree or mode 4"),
+    # terms of 1e-9 times the others, neither rounding nor true
+    (lambda c, lam: c + 1e-9, "has a coefficient .* neither rounding nor a true one"),
+], ids=["degree-4", "gap"])
+def test_model_gates_raise(monkeypatch, fresh_models, which, system, change, message):
+    frame_z = numeric.frame_z
+
+    def changed(which, lam, a, b, t):
+        zs, dzs = frame_z(which, lam, a, b, t)
+        u, v = zs[0]
+        first = next(iter(u))
+        zs[0] = ({**u, first: change(u[first], lam)}, v)
+        return zs, dzs
+
+    monkeypatch.setattr(numeric, "frame_z", changed)
+    with pytest.raises(ArithmeticError, match="the %s %s model %s" % (which, system, message)):
+        numeric.numeric_sweep(which, system, lambda_range=(0.5, 0.6))
+
+
 def test_grid_mesh_keeps_per_sample_sums():
     # best_mu_residual on the default box's 121 x 81 mesh, the direct path
     # that the sweep's screen must reproduce, sums its samples in the
@@ -364,24 +460,14 @@ def test_batched_points_match_scalar_calls(which):
 
 
 def test_polish_is_batched_and_hits_merge(monkeypatch):
-    rows, refines = [], []
-    evaluate, refine = numeric._residual_rows, numeric._refine
-
-    def counting_rows(*args):
-        rows.append(args)
-        return evaluate(*args)
-
-    def counting_refine(*args):
-        refines.append(args)
-        return refine(*args)
-
-    monkeypatch.setattr(numeric, "_residual_rows", counting_rows)
-    monkeypatch.setattr(numeric, "_refine", counting_refine)
+    rows = _record(monkeypatch, "_residual_rows")
+    refines = _record(monkeypatch, "_refine")
     hits = numeric.numeric_sweep("b7", "both", lambda_range=(0.8, 1.0))
-    # each Gauss-Newton step is one batched evaluation of 5 points
+    # the steps follow the model; each polish evaluates directly once, at
+    # the point it returns
     assert refines
-    assert len(rows) <= 6 * len(refines)
-    assert all(len(args[2]) == 5 for args in rows)
+    assert len(rows) == len(refines)
+    assert all(len(args[2]) == 1 for args in rows)
     # the five polished grid minima all reach the joint zero: one hit
     assert len(hits) == 1
     (hit,) = hits
@@ -409,16 +495,17 @@ def test_sweep_recovers_certified_s7_canonical_point():
 
 @pytest.mark.parametrize(
     "which, box",
-    [("b7", dict(lambda_range=(0.8, 1.0))), ("s7", _S7_CANONICAL_BOX)],
-    ids=["b7-bench", "s7-canonical"],
+    [("b7", dict(lambda_range=(0.8, 1.0))), ("s7", _S7_CANONICAL_BOX), ("b7", {})],
+    ids=["b7-bench", "s7-canonical", "b7-default"],
 )
 def test_polished_hit_mu_and_residual_belong_together(which, box):
+    # the polish steps by the model, but reports the direct residual max at
+    # its point and mu
     samples = numeric.default_t_samples()
     hits = numeric.numeric_sweep(which, "both", **box)
     assert hits
     for h in hits:
-        res = _residual_max(which, h["lam"], h["a"], h["b"], h["mu"], samples)
-        assert abs(res - h["residual"]) < 1e-12
+        assert h["residual"] == _residual_max(which, h["lam"], h["a"], h["b"], h["mu"], samples)
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.5, 0.0, -2.7), (0.9, 0.5, 0.0, math.nan)])
@@ -667,13 +754,15 @@ def test_sweep_rejects_unbuildable_box(monkeypatch, box, message):
     ({"t_samples": [0.0]}, "t_samples must be a count of samples, got [0.0]"),
     ({"t_samples": [math.nan]}, "t_samples must be a count of samples, got [nan]"),
     ({"t_samples": 2.5}, "t_samples must be a count of samples, got 2.5"),
+    # a bool is an Integral, but True is no count of samples
+    ({"t_samples": True}, "t_samples must be a count of samples, got True"),
     ({"which": "s9"}, "which must be 's7' or 'b7', got 's9'"),
     ({"system": "foo"}, "system must be 'nhf', 'flow' or 'both', got 'foo'"),
 ], ids=["a-inverted", "a-inverted-narrow", "resolution-zero", "resolution-negative",
         "resolution-nan", "b-nan", "lambda-inf", "resolution-coarse", "resolution-inf",
         "tolerance-nan", "tolerance-zero", "tolerance-negative", "t-samples-empty",
         "t-samples-too-many", "t-samples-list", "t-samples-nan-list", "t-samples-float",
-        "which-unknown", "system-unknown"])
+        "t-samples-bool", "which-unknown", "system-unknown"])
 def test_sweep_rejects_malformed_box(monkeypatch, box, message):
     # the library call names the bad argument before building any grid
     def never(*args):
