@@ -18,18 +18,21 @@ as a polynomial of degree <= 3 in each of lam, a and b with Fourier modes
 |k| <= 3 in t, and refuses the fit with ArithmeticError when it finds
 degree or mode 4 or a coefficient that is neither rounding nor a true
 one.  The model only steers the sweep: it gives the screen's node sums
-and each Gauss-Newton step with its exact Jacobian.  Every number the
+and each Gauss-Newton step with its exact Jacobian, from its rows at the
+sweep's t samples, built once per sweep (_model_rows).  Every number the
 sweep reports (hits, minima, residuals) is the direct evaluator's.
 
 The sweep screens every lambda slice with least-squares sums interpolated
 from Chebyshev nodes in (a, b), exact since they have low degree there,
-and evaluates directly only where a hit or the slice minimum can be.
-Consecutive slices share each of those evaluations, lam an array axis,
-up to _PACK_SAMPLES point-samples at a time.  It polishes the best grid
-minima by Gauss-Newton in (lam, a, b, mu).  numeric_sweep takes the
-number of t samples, not the samples, checks every argument first, in
-_check_inputs, and refuses a bad one with SweepInputError, a ValueError
-naming it.
+and evaluates directly only where a hit or the slice minimum can be.  It
+interpolates each slice's whole mesh once, for the sums' argmin and a
+lower bound per mesh row, and then again only the rows whose bound lets
+them hold a candidate.  Consecutive slices share each evaluation, lam
+an array axis, up to _PACK_SAMPLES point-samples at a time.  It polishes
+the best grid minima by Gauss-Newton in (lam, a, b, mu).  numeric_sweep
+takes the number of t samples, not the samples, checks every argument
+first, in _check_inputs, and refuses a bad one with SweepInputError, a
+ValueError naming it.
 """
 
 from __future__ import annotations
@@ -318,6 +321,21 @@ def _model_terms(coef, t):
     return terms.transpose(1, 0, 2, 3).reshape(2, -1, coef.shape[-1])
 
 
+@functools.lru_cache(maxsize=4)
+def _model_rows(which, system, t_samples):
+    """(exps, terms): the monomials of _model and the read-only _model_terms
+    at the tuple of samples t_samples.
+
+    Cached, so a sweep builds them once, for the node sums of every pack
+    and every polish.  An entry holds one float per sample, part, row and
+    monomial: at most 3.7 kB per sample (b7 both).
+    """
+    exps, coef = _model(which, system)
+    terms = _model_terms(coef, np.asarray(t_samples))
+    terms.flags.writeable = False
+    return exps, terms
+
+
 def _powers(x):
     """(_DEGREE + 1, *x.shape): x**0, x**1, ..., x**_DEGREE."""
     powers = [np.ones_like(x)]
@@ -336,13 +354,14 @@ def _monomials(exps, lam, a, b):
 
 def _model_coefficients(which, system, lam, a, b, t_samples):
     """_coefficients from the model: the same runs, rows and shapes, to rounding."""
-    exps, coef = _model(which, system)
+    exps, terms = _model_rows(which, system, tuple(t_samples))
+    rows = terms.shape[1] // len(t_samples)  # per sample
     shape = np.broadcast(lam, a, b).shape
     monomials = _monomials(exps, lam, a, b)
     run = max(1, _RUN_ELEMENTS // math.prod(shape))
     runs = []
     for start in range(0, len(t_samples), run):
-        c = _model_terms(coef, np.asarray(t_samples[start : start + run])) @ monomials
+        c = terms[:, start * rows : (start + run) * rows] @ monomials
         runs.append(tuple(c.reshape((2, -1) + shape)))
     return runs
 
@@ -523,6 +542,12 @@ def _interpolate(la, lb, node_sums):
     return num, den, s00, mu, s00 - mu * num
 
 
+def _slack(scales, mu):
+    """Rounding allowance of an interpolated ss at mu, to first order in each
+    sum, each off by _SUM_RTOL times its scale; it grows with |mu|."""
+    return _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
+
+
 def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     """Grid hits and the max-norm minimum of each lam slice avals x bvals.
 
@@ -532,15 +557,28 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     from the model at _NODES x _NODES nodes and interpolated to the mesh,
     giving ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
     max^2 <= ss <= n·max^2, so once the ss-argmin's max-norm M0 is known,
-    only points with ss <= n·max(M0, tolerance)^2 can be a hit or the
-    minimum; just those are evaluated directly (all points when the sums
-    near overflow, see _SUM_CEILING).  Each of the three evaluations (node
-    sums, ss-argmins, candidates) takes the slices in _packs, lam an array
-    axis.  The last two are direct, and their sums at one point do not
-    depend on the batch, so every slice gets the bits it would alone.
-    Raises ArithmeticError at the first slice whose sums interpolated at
-    the ss-argmin disagree with a direct evaluation there, since then the
-    degree bound behind _NODES, or the model, is wrong.
+    only points with exact ss <= limit = n·max(M0, tolerance)^2 can be a
+    hit or the minimum.  The interpolated ss = s00 - num^2/den is off from
+    the exact one by at most _slack(scales, mu): each sum is off by at
+    most _SUM_RTOL times its scale, the largest |node sum|, and to first
+    order d ss = d s00 - 2 mu d num + mu^2 d den.  So the candidates, the
+    points evaluated directly, are those with ss <= limit + _slack (all
+    points when the sums near overflow, see _SUM_CEILING).
+
+    Each slice's mesh is interpolated in full once, for its ss-argmin and
+    one floor per mesh row i, floor_i = min_j ss(i, j) - _slack(scales,
+    max_j |mu(i, j)|).  As _slack grows with |mu|, every point of row i
+    has ss - _slack >= floor_i, so a row with floor_i > limit holds no
+    candidate, by the same first-order argument; a NaN floor keeps its
+    row.  The candidate pass interpolates again only the rows kept, which
+    may round differently from the full pass but within the same slack.
+    Each of the three evaluations (node sums, ss-argmins, candidates)
+    takes the slices in _packs, lam an array axis.  The last two are
+    direct, and their sums at one point do not depend on the batch, so
+    every slice gets the bits it would alone.  Raises ArithmeticError at
+    the first slice whose sums interpolated at the ss-argmin disagree with
+    a direct evaluation there, since then the degree bound behind _NODES,
+    or the model, is wrong.
     """
     a_nodes, la = _interpolator(avals)
     b_nodes, lb = _interpolator(bvals)
@@ -554,16 +592,17 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
         n = sum(len(c0) for c0, _ in runs)  # the row count
         del runs  # released before the next pack is built
     # per slice: None for the whole mesh, else the scales of its node sums,
-    # its ss-argmin and the interpolated sums there
+    # its ss-argmin, the interpolated sums there and its row floors
     screens = []
     for sums in node_sums:
         scales = [np.max(np.abs(s)) for s in sums]
         if not max(scales) < _SUM_CEILING:
             screens.append(None)
             continue
-        num, den, s00, _, ss = _interpolate(la, lb, sums)
+        num, den, s00, mu, ss = _interpolate(la, lb, sums)
         at = np.unravel_index(np.argmin(ss), ss.shape)
-        screens.append((scales, at, (num[at], den[at], s00[at])))
+        floors = ss.min(axis=1) - _slack(scales, np.abs(mu).max(axis=1))
+        screens.append((scales, at, (num[at], den[at], s00[at]), floors))
     limits = {}  # n·max(M0, tolerance)^2 per screened slice
     for pack in _packs([k for k, screen in enumerate(screens) if screen], lambda k: samples):
         i0, j0 = np.transpose([screens[k][1] for k in pack])
@@ -572,7 +611,7 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
         m0 = _max_norm(at_min, _fit_mu(*direct[:2]))
         del at_min  # and not held through the candidates
         for p, k in enumerate(pack):
-            scales, _, interpolated = screens[k]
+            scales, _, interpolated, _ = screens[k]
             for name, s, d, scale in zip(("num", "den", "s00"), interpolated, direct, scales):
                 if not abs(s - d[p]) <= _SUM_RTOL * max(scale, abs(d[p])):
                     raise ArithmeticError(
@@ -583,14 +622,15 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
             limits[k] = n * max(m0[p], tolerance) ** 2
 
     def candidates(k):
-        """(ia, ib): the mesh points of slice k to evaluate directly."""
+        """(ia, ib): the mesh points of slice k to evaluate directly, in
+        row-major order."""
         if screens[k] is None:
             return np.indices((avals.size, bvals.size)).reshape(2, -1)
-        scales = screens[k][0]
-        _, _, _, mu, ss = _interpolate(la, lb, node_sums[k])
-        # rounding of the interpolated ss, to first order in each sum
-        slack = _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
-        return np.nonzero(ss <= limits[k] + slack)
+        scales, _, _, floors = screens[k]
+        rows = np.flatnonzero(~(floors > limits[k]))  # NaN floors too
+        _, _, _, mu, ss = _interpolate(la[rows], lb, node_sums[k])
+        ia, ib = np.nonzero(ss <= limits[k] + _slack(scales, mu))
+        return rows[ia], ib
 
     out = []
     slices = ((k, *candidates(k)) for k in range(lams.size))
@@ -673,8 +713,7 @@ def _refine(which, system, point, t_samples, tolerance, bounds):
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    exps, coef = _model(which, system)
-    terms = _model_terms(coef, np.asarray(t_samples))
+    exps, terms = _model_rows(which, system, tuple(t_samples))
     for step in range(_STEPS + 1):
         c0, c1 = terms @ _monomial_jacobian(exps, x[:3])
         r = c0[:, 0] - x[3] * c1[:, 0]

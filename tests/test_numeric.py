@@ -388,9 +388,12 @@ def test_model_matches_direct_rows(which, system):
 
 @pytest.fixture
 def fresh_models():
-    numeric._model.cache_clear()
+    # the model rows are built from the model, so they go with it
+    for cache in (numeric._model, numeric._model_rows):
+        cache.cache_clear()
     yield
-    numeric._model.cache_clear()
+    for cache in (numeric._model, numeric._model_rows):
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("which, system", [("s7", "nhf"), ("b7", "both")])
@@ -561,12 +564,19 @@ def _direct_slice(which, system, lam, avals, bvals, samples, tolerance):
         ("s7", "both", (0.85, 0.95), (1.5, 2.5), (0.5, 1.5), 0.05),
         ("b7", "nhf", (0.9, 1.1), (-1.5, 1.5), (-0.5, 0.5), 0.1),
         ("b7", "both", (0.8, 1.0), (0.0, 1.0), (-0.5, 0.5), 0.05),
+        ("s7", "flow", (0.2, 0.4), (-3.0, 3.0), (-2.0, 2.0), 0.1),
+        ("b7", "flow", (0.2, 0.4), (-3.0, 3.0), (-2.0, 2.0), 0.1),
+        ("s7", "both", (0.9, 1.0), (-3.0, 3.0), (-2.0, 2.0), 0.05),
     ],
-    ids=["s7-nhf", "s7-nhf-a0", "s7-both", "b7-nhf", "b7-both"],
+    ids=["s7-nhf", "s7-nhf-a0", "s7-both", "b7-nhf", "b7-both", "s7-flow", "b7-flow",
+         "s7-both-default-mesh"],
 )
 def test_screened_slices_match_direct_mesh(which, system, lams, a_range, b_range, res):
     # the screen takes the direct max-norm only where a hit or the slice
-    # minimum can be, yet returns exactly the full mesh's hits and minimum
+    # minimum can be, yet returns exactly the full mesh's hits and minimum.
+    # On the flow boxes the row floors keep every row of two slices and two
+    # bands of rows of the third; on the default 121 x 81 mesh, bands of 2
+    # to 22 rows
     samples = numeric.default_t_samples()
     avals = numeric._grid(*a_range, res)
     bvals = numeric._grid(*b_range, res)
@@ -681,6 +691,33 @@ def test_packs_bound_each_evaluation(monkeypatch, which, system, box, most_calls
     largest_slice = max(_points_per_slice(evaluated).values()) * len(samples)
     assert sizes and max(sizes) <= max(numeric._PACK_SAMPLES, largest_slice)
     assert most_calls is None or len(sizes) <= most_calls
+
+
+def test_screen_interpolates_each_mesh_once_and_candidate_rows_again(monkeypatch):
+    # the default s7-squashed box has 39 slices of 121 x 81 points: each
+    # mesh is interpolated in full once, and the candidate pass takes only
+    # the few rows whose floor does not rule them out
+    interpolated = _record(monkeypatch, "_interpolate")
+    assert numeric.numeric_sweep("s7", "nhf")
+    rows = [len(args[0]) for args in interpolated]
+    assert rows[:39] == [121] * 39
+    assert len(rows) == 2 * 39
+    assert max(rows[39:]) <= 6
+
+
+def test_sweep_builds_the_model_rows_once(monkeypatch, fresh_models):
+    # one build for the node sums of every pack and each of the five
+    # polishes; a direct polish with the same samples reuses it
+    built = _record(monkeypatch, "_model_terms")
+    (hit,) = numeric.numeric_sweep("b7", "both", lambda_range=(0.8, 1.0))
+    assert len(built) == 1
+    bounds = ((0.8, 1.0), (-3.0, 3.0), (-2.0, 2.0))
+    start = (hit["lam"], hit["a"], hit["b"], hit["mu"])
+    point, mu, res = numeric._refine(
+        "b7", "both", start, numeric.default_t_samples(), 1e-6, bounds
+    )
+    assert (*point, mu, res) == (*start, hit["residual"])
+    assert len(built) == 1
 
 
 def test_wrong_degree_bound_raises(monkeypatch):
