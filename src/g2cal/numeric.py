@@ -5,13 +5,17 @@ over real floats, with no exact-engine code paths, to cross-check exact
 results and drive the parameter sweep.  Each Z_k is a pair (U_k, V_k) of
 real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
 polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
-numpy arrays, so many points are evaluated at once.  _coefficients is the
-one walk of the residual forms: it takes the t samples in runs of
-max(1, 2**14 // points), and gives each run a pair of arrays (c0, c1) of
-r0 and r1 coefficients, one row per sample, system and monomial.  The
-least-squares sums, fitted mu and max-norm are whole-array operations on
-a run's rows, and the sums add the rows strictly left to right, run after
-run, so that a point's sums do not depend on the rest of its batch.
+numpy arrays, so many points are evaluated at once; at a point of
+Python floats they are Python floats, since c_k and s_k take math's cos
+and sin for a Python-float t.  _system_parts builds of Xi = Z_1 ^ Z_2 ^
+Z_3 only the halves its systems read: Re Xi for nhf, Im Xi for flow.
+_coefficients is the one walk of the residual forms: it takes the t
+samples in runs of max(1, 2**14 // points), and gives each run a pair of
+arrays (c0, c1) of r0 and r1 coefficients, one row per sample, system
+and monomial.  The least-squares sums, fitted mu and max-norm are
+whole-array operations on a run's rows, and the sums add the rows
+strictly left to right, run after run, so that a point's sums do not
+depend on the rest of its batch.
 
 _model fits each system once per process, from one _coefficients call,
 as a polynomial of degree <= 3 in each of lam, a and b with Fourier modes
@@ -46,12 +50,17 @@ import numpy as np
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
+# c_k and s_k take math's cos and sin for a Python float t, so that a
+# point of Python floats is evaluated in float arithmetic throughout, and
+# numpy's for anything else (arrays, numpy scalars, complex values).
 def c_k(k, t):
-    return np.cos(t + (k - 1) * _TWO_THIRDS_PI)
+    x = t + (k - 1) * _TWO_THIRDS_PI
+    return math.cos(x) if t.__class__ is float else np.cos(x)
 
 
 def s_k(k, t):
-    return np.sin(t + (k - 1) * _TWO_THIRDS_PI)
+    x = t + (k - 1) * _TWO_THIRDS_PI
+    return math.sin(x) if t.__class__ is float else np.sin(x)
 
 
 # _merge and _d_monomial are memoised: their keys are index tuples over
@@ -179,16 +188,20 @@ def frame_z(which, lam, a, b, t):
 
 
 # Complex forms are (real part, imaginary part) pairs of real forms.
-# _re_wedge gives Re(x ^ y) and _cwedge the pair x ^ y; both add into
-# `out` (a form, or a pair of forms) when it is given.
+# _re_wedge gives Re(x ^ y), _im_wedge Im(x ^ y) and _cwedge the pair
+# x ^ y; each adds into `out` (a form, or a pair of forms) when it is given.
 def _re_wedge(x, y, out=None):
     (x_re, x_im), (y_re, y_im) = x, y
     return wedge(x_im, y_im, wedge(x_re, y_re, out), sign=-1)
 
 
-def _cwedge(x, y, out=(None, None)):
+def _im_wedge(x, y, out=None):
     (x_re, x_im), (y_re, y_im) = x, y
-    return _re_wedge(x, y, out[0]), wedge(x_im, y_re, wedge(x_re, y_im, out[1]))
+    return wedge(x_im, y_re, wedge(x_re, y_im, out))
+
+
+def _cwedge(x, y, out=(None, None)):
+    return _re_wedge(x, y, out[0]), _im_wedge(x, y, out[1])
 
 
 def _system_parts(which, systems, lam, a, b, t):
@@ -196,13 +209,16 @@ def _system_parts(which, systems, lam, a, b, t):
 
     t is one sample, or an array of samples on a leading axis in front of
     the batch axes of (lam, a, b).  Builds xi = sum U_k ^ V_k and
-    Xi = Z_1 ^ Z_2 ^ Z_3 once; d/dt Re Xi, which shares Z_1 ^ Z_2 with Xi,
-    only when "flow" is asked for.
+    Z_1 ^ Z_2 once, and of Xi = Z_1 ^ Z_2 ^ Z_3 only the halves the systems
+    read: Re Xi for "nhf", Im Xi for "flow", both (Re Xi first, as
+    _cwedge takes them) for the two.  d/dt Re Xi, which shares Z_1 ^ Z_2
+    with Xi, is built only for "flow".
     """
     zs, dzs = frame_z(which, lam, a, b, t)
     xi = add(*(wedge(u, v) for u, v in zs))
     z12 = _cwedge(zs[0], zs[1])
-    re_xi, im_xi = _cwedge(z12, zs[2])
+    re_xi = _re_wedge(z12, zs[2]) if "nhf" in systems else None
+    im_xi = _im_wedge(z12, zs[2]) if "flow" in systems else None
     out = []
     for system in systems:
         if system == "nhf":

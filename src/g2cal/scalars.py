@@ -86,6 +86,11 @@ class AlgebraicScalar:
             other = AlgebraicScalar.coerce(other)
         a0, a1, a2, a3, ad = self._v
         b0, b1, b2, b3, bd = other._v
+        if not (a1 or a2 or a3 or b1 or b2 or b3):
+            # two rationals: only the first coordinate
+            if ad == bd:
+                return _reduced(a0 + b0, 0, 0, 0, ad)
+            return _reduced(a0 * bd + b0 * ad, 0, 0, 0, ad * bd)
         if ad == bd:
             return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
         return _reduced(
@@ -114,6 +119,11 @@ class AlgebraicScalar:
             other = AlgebraicScalar.coerce(other)
         a0, a1, a2, a3, ad = self._v
         b0, b1, b2, b3, bd = other._v
+        # a rational factor scales each coordinate of the other one
+        if not (b1 or b2 or b3):
+            return _reduced(a0 * b0, a1 * b0, a2 * b0, a3 * b0, ad * bd)
+        if not (a1 or a2 or a3):
+            return _reduced(a0 * b0, a0 * b1, a0 * b2, a0 * b3, ad * bd)
         # sqrt3^2 = 3, sqrt5^2 = 5, sqrt3*sqrt5 = sqrt15, sqrt15^2 = 15
         return _reduced(
             a0 * b0 + 3 * a1 * b1 + 5 * a2 * b2 + 15 * a3 * b3,
@@ -165,6 +175,8 @@ class AlgebraicScalar:
         # n / d on ints is correctly rounded, as float(Fraction(n, d)) is
         n0, n1, n2, n3, d = self._v
         return n0 / d + (n1 / d) * _SQRT3 + (n2 / d) * _SQRT5 + (n3 / d) * _SQRT15
+
+    __float__ = to_float
 
     def render(self):
         """Canonical text form, e.g. "(2/5)*sqrt5" or "(1/2) + (-1)*sqrt3"."""
@@ -387,10 +399,10 @@ class TrigScalar(_Terms):
         return TrigScalar._made({-k: c * -k for k, c in self.terms.items() if k})
 
     def to_float(self, t):
-        return sum(
-            c.to_float() * (math.cos(k * t) if k >= 0 else math.sin(-k * t))
-            for k, c in self.terms.items()
-        )
+        total = 0
+        for k, c in self.terms.items():
+            total += c.to_float() * (math.cos(k * t) if k >= 0 else math.sin(-k * t))
+        return total
 
     def render(self):
         parts = []
@@ -471,27 +483,33 @@ class ParamPoly(_Terms):
     def bind(self, bindings):
         """Partially specialize; returns a ParamPoly over the rest.
 
-        Each power of a bound value is computed once per call, and a
-        monomial's bound factors are multiplied into one AlgebraicScalar
-        that scales its coefficient mode by mode, so no TrigScalar is
-        multiplied.  The sums are kept per (remaining exponent, mode) and
-        made into TrigScalars once, at the end.
+        The bound unknowns are resolved once per call, and a name that is
+        not one of UNKNOWNS raises ValueError.  Each power of a bound value
+        is computed once per call, and a monomial's bound factors are
+        multiplied into one AlgebraicScalar that scales its coefficient
+        mode by mode, so no TrigScalar is multiplied.  The sums are kept
+        per (remaining exponent, mode) and made into TrigScalars once, at
+        the end.
         """
-        powers = {}     # unknown index -> [1, val, val**2, ...]
+        bound = []          # (unknown index, [1, val, val**2, ...])
+        keep = [1, 1, 1, 1]
+        for name, value in bindings.items():
+            i = _UNKNOWN_INDEX.get(name)
+            if i is None:
+                raise ValueError("cannot bind %r: the unknowns are %s" % (name, ", ".join(UNKNOWNS)))
+            bound.append((i, [ALG_ONE, AlgebraicScalar.coerce(value)]))
+            keep[i] = 0
+        k0, k1, k2, k3 = keep
         out = {}
         for exp, coeff in self.terms.items():
             factor = None
-            new_exp = list(exp)
-            for i, (name, e) in enumerate(zip(UNKNOWNS, exp)):
-                if e and name in bindings:
-                    pw = powers.get(i)
-                    if pw is None:
-                        pw = powers[i] = [ALG_ONE, AlgebraicScalar.coerce(bindings[name])]
+            for i, pw in bound:
+                e = exp[i]
+                if e:
                     while len(pw) <= e:
                         pw.append(pw[-1] * pw[1])
                     factor = pw[e] if factor is None else factor * pw[e]
-                    new_exp[i] = 0
-            modes = out.setdefault(tuple(new_exp), {})
+            modes = out.setdefault((exp[0] * k0, exp[1] * k1, exp[2] * k2, exp[3] * k3), {})
             for k, c in coeff.terms.items():
                 if factor is not None:
                     c = c * factor

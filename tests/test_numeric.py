@@ -244,6 +244,41 @@ def test_shared_frame_matches_residual_parts(which, lam, a, b):
     np.testing.assert_allclose(worst, ref_worst, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize(
+    "lam, a, b, t",
+    [(0.9, 0.4, -0.3, 0.6),
+     (*_BATCH[:, :7], np.reshape(numeric.default_t_samples(), (-1, 1)))],
+    ids=["point", "batch"],
+)
+def test_one_system_builds_the_parts_of_both(which, lam, a, b, t):
+    # nhf builds only Re Xi and flow only Im Xi, each as the joint call
+    # builds it
+    both = numeric._system_parts(which, ("nhf", "flow"), lam, a, b, t)
+    for system, want in zip(("nhf", "flow"), both):
+        (got,) = numeric._system_parts(which, (system,), lam, a, b, t)
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for m in w:
+                assert type(g[m]) is type(w[m])
+                np.testing.assert_array_equal(g[m], w[m])
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("system", ["nhf", "flow"])
+def test_python_float_point_matches_the_array_path(which, system):
+    rng = random.Random(zlib.crc32(("floats-%s-%s" % (which, system)).encode()))
+    points = [(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+               rng.uniform(0.05, math.pi / 3 - 0.05)) for _ in range(20)]
+    batch = numeric.residual_parts(which, system, *map(np.array, zip(*points)))
+    for j, point in enumerate(points):
+        for got, want in zip(numeric.residual_parts(which, system, *point), batch):
+            assert got.keys() == want.keys()
+            for m, v in got.items():
+                assert type(v) is float
+                assert abs(v - np.broadcast_to(want[m], (len(points),))[j]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "lam, a, b",
     [(0.9, 0.4, -0.3), (1.3, np.array([[-1.0], [0.2], [1.5]]), np.array([[-0.7, 0.0, 0.3, 1.1]])),

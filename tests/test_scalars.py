@@ -240,6 +240,23 @@ def test_bind_drops_cancelled_terms():
     assert (LAM * LAM).bind({"mu": 5}) == LAM * LAM
 
 
+def test_bind_refuses_a_name_that_is_not_an_unknown():
+    p = LAM * A_UNK + MU
+    for bad in ({"lambda": alg(2)}, {"lam": 1, "x": 0}, {"mu": 1, "t": 0}):
+        with pytest.raises(ValueError, match=repr(next(k for k in bad if k not in UNKNOWNS))):
+            p.bind(bad)
+
+
+def test_param_poly_to_float_takes_exact_bindings():
+    p = LAM * A_UNK * ParamPoly.const(c_k(1)) + MU
+    exact = {"lam": alg(1), "a": alg(2), "b": alg(0), "mu": alg(0, Fraction(1, 2))}
+    floats = {k: v.to_float() for k, v in exact.items()}
+    assert (LAM * A_UNK).to_float({"lam": alg(1), "a": alg(2)}, 0.0) == 2.0
+    assert p.to_float(exact, 0.7) == p.to_float(floats, 0.7)
+    for x in (ALG_ZERO, SQRT3, alg(Fraction(-3, 7), 1, 0, Fraction(2, 5))):
+        assert float(x) == x.to_float()
+
+
 def test_param_poly_t_derivative():
     p = LAM * ParamPoly.const(c_k(1))
     assert p.deriv_t() == LAM * ParamPoly.const(-s_k(1))
@@ -310,6 +327,27 @@ def test_algebraic_scalar_matches_fraction_reference(a, b):
     if not any(a[1:]):
         # x.q == a above: a rational value, equal to its Fraction
         assert x == a[0]
+
+
+# A random four-coordinate value is almost never rational, so the rational
+# operands of the products and sums are drawn on their own.
+_ref_rationals = _ref_fracs.map(lambda q: (q, Fraction(0), Fraction(0), Fraction(0)))
+
+
+@given(_ref_rationals, _ref_elems, _ref_rationals)
+@settings(derandomize=True, max_examples=300)
+def test_rational_operands_match_fraction_reference(r, a, s):
+    # a rational operand on the left, on the right and on both sides
+    x, y, z = alg(*r), alg(*a), alg(*s)
+    for (u, p), (v, q) in (((x, r), (y, a)), ((y, a), (x, r)), ((x, r), (z, s))):
+        for got, want in ((u * v, _ref_mul(p, q)), (u + v, _ref_add(p, q)),
+                          (u - v, _ref_add(p, tuple(-c for c in q)))):
+            assert got.q == want
+            _assert_canonical(got)
+    assert (x * z)._v[1:4] == (x + z)._v[1:4] == (0, 0, 0)
+    # an int or a Fraction enters the same paths
+    assert (y * r[0]).q == (r[0] * y).q == _ref_mul(a, r)
+    assert (x + s[0]).q == (s[0] + x).q == _ref_add(r, s)
 
 
 @given(_ref_elems, _ref_elems, hs.integers(min_value=1, max_value=40))

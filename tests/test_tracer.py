@@ -8,7 +8,7 @@ import importlib.util
 import pathlib
 
 from g2cal.exterior import Form
-from g2cal.scalars import LAM, ParamPoly, TrigScalar
+from g2cal.scalars import A_UNK, LAM, SQRT3, SQRT5, AlgebraicScalar, ParamPoly, TrigScalar, alg
 
 _TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -32,6 +32,27 @@ def test_tracer_counts_scalar_products():
     assert counts.get("scalars.param_mul") == 1
     assert counts.get("scalars.trig_mul", 0) >= 1
     assert {cls: dict(vars(cls)) for cls in (TrigScalar, ParamPoly)} == before
+
+
+def test_tracer_counts_field_products_and_spans_bind():
+    p = LAM * A_UNK
+    before = {cls: dict(vars(cls)) for cls in (AlgebraicScalar, ParamPoly)}
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        # one product joins the two bound factors, one scales the one mode
+        p.bind({"lam": SQRT3, "a": alg(2)})
+        bound = tracer.take()
+        3 * SQRT5  # through the __rmul__ alias
+        SQRT3.inverse()
+        field = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert bound["counts"] == {"scalars.alg_mul": 2}
+    assert [span[0] for span in bound["spans"]] == ["scalars.param_bind"]
+    assert field["counts"].get("scalars.alg_inverse") == 1
+    assert field["counts"].get("scalars.alg_mul", 0) >= 2
+    assert {cls: dict(vars(cls)) for cls in (AlgebraicScalar, ParamPoly)} == before
 
 
 def test_tracer_counts_a_direct_wedge():
