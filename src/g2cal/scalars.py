@@ -84,19 +84,7 @@ class AlgebraicScalar:
             if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = AlgebraicScalar.coerce(other)
-        a0, a1, a2, a3, ad = self._v
-        b0, b1, b2, b3, bd = other._v
-        if not (a1 or a2 or a3 or b1 or b2 or b3):
-            # two rationals: only the first coordinate
-            if ad == bd:
-                return _reduced(a0 + b0, 0, 0, 0, ad)
-            return _reduced(a0 * bd + b0 * ad, 0, 0, 0, ad * bd)
-        if ad == bd:
-            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
-        return _reduced(
-            a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad,
-            ad * bd,
-        )
+        return _reduced(*_add_v(self._v, other._v))
 
     __radd__ = __add__
 
@@ -117,21 +105,7 @@ class AlgebraicScalar:
             if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = AlgebraicScalar.coerce(other)
-        a0, a1, a2, a3, ad = self._v
-        b0, b1, b2, b3, bd = other._v
-        # a rational factor scales each coordinate of the other one
-        if not (b1 or b2 or b3):
-            return _reduced(a0 * b0, a1 * b0, a2 * b0, a3 * b0, ad * bd)
-        if not (a1 or a2 or a3):
-            return _reduced(a0 * b0, a0 * b1, a0 * b2, a0 * b3, ad * bd)
-        # sqrt3^2 = 3, sqrt5^2 = 5, sqrt3*sqrt5 = sqrt15, sqrt15^2 = 15
-        return _reduced(
-            a0 * b0 + 3 * a1 * b1 + 5 * a2 * b2 + 15 * a3 * b3,
-            a0 * b1 + a1 * b0 + 5 * (a2 * b3 + a3 * b2),
-            a0 * b2 + a2 * b0 + 3 * (a1 * b3 + a3 * b1),
-            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            ad * bd,
-        )
+        return _reduced(*_mul_v(self._v, other._v))
 
     __rmul__ = __mul__
 
@@ -200,6 +174,7 @@ class AlgebraicScalar:
 
 
 _ZERO_V = (0, 0, 0, 0, 1)
+_ONE_V = (1, 0, 0, 0, 1)
 _set_v = AlgebraicScalar._v.__set__
 _new = object.__new__
 
@@ -209,6 +184,47 @@ def _raw(v):
     x = _new(AlgebraicScalar)
     _set_v(x, v)
     return x
+
+
+def _mul_v(a, b):
+    """Product of two (n0, n1, n2, n3, d) tuples, as one such tuple; not
+    normalised, so a caller can go on multiplying or adding ints."""
+    a0, a1, a2, a3, ad = a
+    b0, b1, b2, b3, bd = b
+    # a rational factor scales each coordinate of the other one
+    if not (b1 or b2 or b3):
+        return (a0 * b0, a1 * b0, a2 * b0, a3 * b0, ad * bd)
+    if not (a1 or a2 or a3):
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3, ad * bd)
+    # sqrt3^2 = 3, sqrt5^2 = 5, sqrt3*sqrt5 = sqrt15, sqrt15^2 = 15
+    return (
+        a0 * b0 + 3 * a1 * b1 + 5 * a2 * b2 + 15 * a3 * b3,
+        a0 * b1 + a1 * b0 + 5 * (a2 * b3 + a3 * b2),
+        a0 * b2 + a2 * b0 + 3 * (a1 * b3 + a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+        ad * bd,
+    )
+
+
+def _add_v(a, b):
+    """Sum of two (n0, n1, n2, n3, d) tuples, as one such tuple; not
+    normalised.  When one denominator divides the other, only the side
+    with the smaller one is rescaled."""
+    a0, a1, a2, a3, ad = a
+    b0, b1, b2, b3, bd = b
+    if ad == bd:
+        pass
+    elif ad % bd == 0:
+        s = ad // bd
+        b0, b1, b2, b3 = b0 * s, b1 * s, b2 * s, b3 * s
+    elif bd % ad == 0:
+        s = bd // ad
+        a0, a1, a2, a3, ad = a0 * s, a1 * s, a2 * s, a3 * s, bd
+    else:
+        a0, a1, a2, a3 = a0 * bd, a1 * bd, a2 * bd, a3 * bd
+        b0, b1, b2, b3 = b0 * ad, b1 * ad, b2 * ad, b3 * ad
+        ad *= bd
+    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
 
 
 def _reduced(n0, n1, n2, n3, d):
@@ -381,7 +397,7 @@ class TrigScalar(_Terms):
             m = abs(j)
             for k, v in y.items():
                 n = abs(k)
-                h0, h1, h2, h3, hd = (u * v)._v
+                h0, h1, h2, h3, hd = _mul_v(u._v, v._v)
                 h = _reduced(h0, h1, h2, h3, 2 * hd)
                 if (j < 0) == (k < 0):
                     parts = ((abs(m - n), h), (m + n, -h if j < 0 else h))
@@ -455,7 +471,7 @@ class ParamPoly(_Terms):
     def __init__(self, terms):
         super().__init__(terms)
         for exp in self.terms:
-            if len(exp) != 4 or any(e < 0 for e in exp):
+            if len(exp) != 4 or any(not isinstance(e, int) or e < 0 for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
 
     @staticmethod
@@ -484,20 +500,22 @@ class ParamPoly(_Terms):
         """Partially specialize; returns a ParamPoly over the rest.
 
         The bound unknowns are resolved once per call, and a name that is
-        not one of UNKNOWNS raises ValueError.  Each power of a bound value
-        is computed once per call, and a monomial's bound factors are
-        multiplied into one AlgebraicScalar that scales its coefficient
-        mode by mode, so no TrigScalar is multiplied.  The sums are kept
-        per (remaining exponent, mode) and made into TrigScalars once, at
-        the end.
+        not one of UNKNOWNS raises ValueError.  The work is done on the
+        int tuples (n0, n1, n2, n3, d) under AlgebraicScalar, as FLINT's
+        fmpq_poly keeps an integer numerator over a common denominator:
+        each bound value's powers are grown by one product each, a
+        monomial's bound factors make one tuple, and each (remaining
+        exponent, mode) sum is one such tuple, an int accumulator.  Nothing is normalised
+        on the way; `_reduced` makes each accumulator an AlgebraicScalar
+        once, at the end, so a result coefficient costs one gcd.
         """
-        bound = []          # (unknown index, [1, val, val**2, ...])
+        bound = []          # (unknown index, [1, val, val**2, ...] as tuples)
         keep = [1, 1, 1, 1]
         for name, value in bindings.items():
             i = _UNKNOWN_INDEX.get(name)
             if i is None:
                 raise ValueError("cannot bind %r: the unknowns are %s" % (name, ", ".join(UNKNOWNS)))
-            bound.append((i, [ALG_ONE, AlgebraicScalar.coerce(value)]))
+            bound.append((i, [_ONE_V, AlgebraicScalar.coerce(value)._v]))
             keep[i] = 0
         k0, k1, k2, k3 = keep
         out = {}
@@ -507,14 +525,16 @@ class ParamPoly(_Terms):
                 e = exp[i]
                 if e:
                     while len(pw) <= e:
-                        pw.append(pw[-1] * pw[1])
-                    factor = pw[e] if factor is None else factor * pw[e]
+                        pw.append(_mul_v(pw[-1], pw[1]))
+                    factor = pw[e] if factor is None else _mul_v(factor, pw[e])
             modes = out.setdefault((exp[0] * k0, exp[1] * k1, exp[2] * k2, exp[3] * k3), {})
             for k, c in coeff.terms.items():
-                if factor is not None:
-                    c = c * factor
-                modes[k] = modes[k] + c if k in modes else c
-        return ParamPoly._made({exp: TrigScalar._made(modes) for exp, modes in out.items()})
+                v = c._v if factor is None else _mul_v(c._v, factor)
+                modes[k] = _add_v(modes[k], v) if k in modes else v
+        return ParamPoly._made({
+            exp: TrigScalar._made({k: _reduced(*acc) for k, acc in modes.items()})
+            for exp, modes in out.items()
+        })
 
     def degree_in(self, name):
         i = _UNKNOWN_INDEX[name]

@@ -405,6 +405,14 @@ def test_import_does_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False False\n"
+    # nor does the whole exact report: a fresh report-all never pays for numpy
+    code = ("import io, sys, contextlib, g2cal.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['report-all', '--format', 'json'])\n"
+            "print(code, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0 False\n"
 
 
 def test_report_all_bytes_independent_of_hash_seed():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,51 @@ def test_exact_matches_float_at_100_points(which, system):
             diff = abs(exact.get(m, 0.0) - approx.get(m, 0.0))
             worst = max(worst, diff)
     assert worst < 1e-9
+
+
+def _seeded_rational_point(rng, den=64):
+    """lam in [13/64, 2], a and b in [-2, 2], mu in [-3, 3], each a nonzero
+    multiple of 1/64, as the benchmark's cross-check draws them."""
+    def nonzero(lo, hi):
+        n = 0
+        while n == 0:
+            n = rng.randint(lo * den, hi * den)
+        return Fraction(n, den)
+
+    return {
+        "lam": Fraction(rng.randint(13, 2 * den), den),
+        "a": nonzero(-2, 2),
+        "b": nonzero(-2, 2),
+        "mu": nonzero(-3, 3),
+    }
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("system", ["nhf", "flow"])
+def test_exact_binding_matches_float_at_rational_points(which, system):
+    rng = random.Random(zlib.crc32(("bind-%s-%s" % (which, system)).encode()))
+    res = _exact_residual(which, system)
+    for _ in range(40):
+        point = _seeded_rational_point(rng)
+        exact = {k: alg(v) for k, v in point.items()}
+        t = rng.uniform(0.05, math.pi / 3 - 0.05)
+        approx = _numeric_residual_values(which, system, {k: float(v) for k, v in point.items()}, t)
+        for m in set(res.terms) | set(approx):
+            got = res.terms[m].bind(exact).const_value().to_float(t) if m in res.terms else 0.0
+            assert abs(got - approx.get(m, 0.0)) < 1e-9, (point, t, m)
+
+
+@pytest.mark.parametrize("system", ["nhf", "flow"])
+def test_exact_binding_vanishes_at_the_irrational_joint_triple(system):
+    res = _exact_residual("b7", system)
+    triple = {"lam": LAMBDA_CANON, "a": alg(Fraction(1, 2)), "b": alg(0), "mu": MU_CANON}
+    assert MU_CANON == -3 * LAMBDA_CANON
+    assert res.terms and all(c.bind(triple).is_zero() for c in res.terms.values())
+    # off the triple some coefficient survives
+    for name, shift in (("lam", alg(0, 0, Fraction(1, 5))), ("a", alg(Fraction(1, 64))),
+                        ("b", alg(0, 1)), ("mu", alg(Fraction(1, 2)))):
+        off = dict(triple, **{name: triple[name] + shift})
+        assert any(not c.bind(off).is_zero() for c in res.terms.values()), name
 
 
 @pytest.mark.parametrize("which", ["s7", "b7"])

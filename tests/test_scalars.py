@@ -172,6 +172,14 @@ def _assert_no_zero_stored(x):
         assert all(not c.is_zero() for c in x.terms.values())
 
 
+def _assert_coefficients_canonical(p):
+    """Every stored field coefficient of the ParamPoly p has the tuple the
+    public constructor gives its value."""
+    for trig in p.terms.values():
+        for c in trig.terms.values():
+            assert c._v == AlgebraicScalar(*c.q)._v
+
+
 constants = hs.one_of(
     hs.sampled_from([0, 1, -1, ALG_ZERO, TRIG_ZERO, TRIG_ONE]), fractions, algebraics
 )
@@ -194,10 +202,11 @@ def test_trig_product_with_constant(x, c):
 
 _exponents = hs.tuples(*[hs.integers(min_value=0, max_value=2)] * 4)
 param_polys = hs.dictionaries(_exponents, trigs, max_size=4).map(ParamPoly)
+# coprime denominators (say 5 and 12) meet in one of bind's sums
 _values = hs.one_of(
     hs.integers(min_value=-3, max_value=3),
-    hs.fractions(min_value=-3, max_value=3, max_denominator=6),
-    hs.tuples(*[hs.fractions(min_value=-2, max_value=2, max_denominator=4)] * 4).map(
+    hs.fractions(min_value=-3, max_value=3, max_denominator=12),
+    hs.tuples(*[hs.fractions(min_value=-2, max_value=2, max_denominator=6)] * 4).map(
         lambda q: alg(*q)
     ),
 )
@@ -216,6 +225,7 @@ def test_bind_is_exact_and_composes(p, q, full, names1, names2, t):
     assert p.bind(both) == p.bind(b1).bind(b2)
     for got in (p.bind(b1), p.bind(both), (p * q).bind(both), p.bind(full)):
         _assert_no_zero_stored(got)
+        _assert_coefficients_canonical(got)
     # a full binding leaves a constant whose value is the float evaluation
     floats = {k: AlgebraicScalar.coerce(v).to_float() for k, v in full.items()}
     got = p.bind(full).const_value().to_float(t)
@@ -245,6 +255,14 @@ def test_bind_refuses_a_name_that_is_not_an_unknown():
     for bad in ({"lambda": alg(2)}, {"lam": 1, "x": 0}, {"mu": 1, "t": 0}):
         with pytest.raises(ValueError, match=repr(next(k for k in bad if k not in UNKNOWNS))):
             p.bind(bad)
+
+
+def test_param_poly_refuses_an_exponent_that_is_not_an_int():
+    # a float exponent would render as "lam" and equal LAM, then break bind
+    for exp in ((1.0, 0, 0, 0), (0, 0, Fraction(1), 0), (0, 2, 0, 0.5)):
+        with pytest.raises(ValueError, match=r"bad exponent vector"):
+            ParamPoly({exp: TRIG_ONE})
+    assert ParamPoly({(1, 0, 0, 0): TRIG_ONE}) == LAM
 
 
 def test_param_poly_to_float_takes_exact_bindings():
