@@ -7,9 +7,15 @@ real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
 polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
 numpy arrays, so many points are evaluated at once; at a point of
 Python floats they are Python floats, since c_k and s_k take math's cos
-and sin for a Python-float t.  _system_parts builds of Xi = Z_1 ^ Z_2 ^
+and sin for a Python-float t.  _system_forms builds of Xi = Z_1 ^ Z_2 ^
 Z_3 only the halves its systems read: Re Xi for nhf, Im Xi for flow.
-_coefficients is the one walk of the residual forms: it takes the t
+Its dict algebra does the same float operations at every input, so
+_system_parts runs it through a kernel (_kernel): _system_forms recorded
+once per process and (which, systems) on _Var placeholders, and compiled
+into one straight-line function, with the same bits, keys and key order
+and no dict work.  The kernel calls c_k and s_k at run time, so it keeps
+their dispatch on t's type, and deletes each temporary after its last
+use.  _coefficients is the one walk of the residual forms: it takes the t
 samples in runs of max(1, 2**14 // points), and gives each run a pair of
 arrays (c0, c1) of r0 and r1 coefficients, one row per sample, system
 and monomial.  The least-squares sums, fitted mu and max-norm are
@@ -204,8 +210,9 @@ def _cwedge(x, y, out=(None, None)):
     return _re_wedge(x, y, out[0]), _im_wedge(x, y, out[1])
 
 
-def _system_parts(which, systems, lam, a, b, t):
-    """[(r0, r1)] per system at t, sharing one frame.
+def _system_forms(which, systems, lam, a, b, t):
+    """[(r0, r1)] per system at t, sharing one frame: the definition of
+    _system_parts, in the dict algebra above.
 
     t is one sample, or an array of samples on a leading axis in front of
     the batch axes of (lam, a, b).  Builds xi = sum U_k ^ V_k and
@@ -231,6 +238,137 @@ def _system_parts(which, systems, lam, a, b, t):
         else:
             raise ValueError("unknown system %r" % system)
     return out
+
+
+class _Var:
+    """A placeholder value of the kernel recorder.
+
+    Each +, -, * and unary - on a _Var, and a constant times a _Var (as
+    in 2 * lam), appends one statement to its tape, a list shared by the
+    placeholders of one recording, and returns the _Var that names the
+    result.  np.cos and np.sin of t + (k - 1) _TWO_THIRDS_PI, as c_k and
+    s_k take them, record a call of c_k or s_k, so that the kernel
+    dispatches on t's type at run time as they do.  A constant operand
+    must be a finite int or float: it is written by repr.
+    """
+
+    __slots__ = ("tape", "name", "op", "args")
+
+    def __init__(self, tape, name, op=None, args=()):
+        self.tape, self.name, self.op, self.args = tape, name, op, args
+
+    def _record(self, op, *args):
+        for x in args:
+            if not isinstance(x, _Var) and not (type(x) in (int, float) and math.isfinite(x)):
+                raise TypeError("a kernel takes no constant %r" % (x,))
+        var = _Var(self.tape, "v%d" % len(self.tape), op, args)
+        self.tape.append(var)
+        return var
+
+    def __add__(self, other):
+        return self._record("+", self, other)
+
+    def __sub__(self, other):
+        return self._record("-", self, other)
+
+    def __mul__(self, other):
+        return self._record("*", self, other)
+
+    def __rmul__(self, other):
+        return self._record("*", other, self)
+
+    def __neg__(self):
+        return self._record("neg", self)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        call = {np.cos: "c_k", np.sin: "s_k"}.get(ufunc)
+        if call and method == "__call__" and inputs == (self,) and not kwargs and self.op == "+":
+            t, shift = self.args
+            k = round(shift / _TWO_THIRDS_PI) + 1 if type(shift) is float else None
+            if getattr(t, "name", None) == "t" and k in (1, 2, 3) and (k - 1) * _TWO_THIRDS_PI == shift:
+                return self._record(call, k)
+        raise TypeError("a kernel reads t through c_k and s_k only, not %s" % (ufunc,))
+
+    def source(self):
+        """The statement's right-hand side."""
+        if self.op in ("c_k", "s_k"):
+            return "%s(%d, t)" % (self.op, self.args[0])
+        if self.op == "neg":
+            return "-" + self.args[0].name
+        return "%s %s %s" % (_operand(self.args[0]), self.op, _operand(self.args[1]))
+
+
+def _operand(x):
+    return x.name if isinstance(x, _Var) else repr(x)
+
+
+def _kernel_source(tape, parts):
+    """The source of `kernel(lam, a, b, t)`: the statements of the tape that
+    the forms `parts` read, in order, each temporary deleted after its last
+    use, and a return of `parts` with the same keys in the same order."""
+    outputs = {v.name for pair in parts for form in pair for v in form.values() if isinstance(v, _Var)}
+    live = set(outputs)
+    for var in reversed(tape):
+        if var.name in live:
+            live.update(x.name for x in var.args if isinstance(x, _Var))
+    statements = [var for var in tape if var.name in live]
+    last = {}  # temporary -> the statement that reads it last
+    for i, var in enumerate(statements):
+        for x in var.args:
+            if isinstance(x, _Var) and x.op is not None and x.name not in outputs:
+                last[x.name] = i
+    dead = [[] for _ in statements]
+    for name, i in last.items():
+        dead[i].append(name)
+    lines = ["def kernel(lam, a, b, t):"]
+    for var, names in zip(statements, dead):
+        lines.append("    %s = %s" % (var.name, var.source()))
+        if names:
+            lines.append("    del " + ", ".join(names))
+
+    def form(f):
+        return "{%s}" % ", ".join("%r: %s" % (m, _operand(v)) for m, v in f.items())
+
+    pairs = ("(%s, %s)" % (form(r0), form(r1)) for r0, r1 in parts)
+    lines.append("    return [%s]" % ", ".join(pairs))
+    return "\n".join(lines) + "\n"
+
+
+# The three tuples of systems a kernel is built for.
+_SYSTEMS = (("nhf",), ("flow",), ("nhf", "flow"))
+
+
+@functools.cache
+def _kernel(which, systems):
+    """_system_forms(which, systems, ...) compiled into one straight-line
+    function of (lam, a, b, t).
+
+    Records _system_forms once on _Var placeholders and compiles the
+    statements it made.  So a kernel performs the same float operations
+    in the same order as the dict algebra, and gives the same bits and
+    the same keys in the same order, with none of the dict work.  which
+    and systems are checked before recording: at most 2 x 3 kernels are
+    built in a process.
+    """
+    if which not in _STRUCTURE:
+        raise ValueError("unknown family %r" % (which,))
+    for system in systems:
+        if system not in ("nhf", "flow"):
+            raise ValueError("unknown system %r" % (system,))
+    if systems not in _SYSTEMS:
+        raise ValueError("systems must be one of %s, got %r" % (", ".join(map(repr, _SYSTEMS)), systems))
+    tape = []
+    lam, a, b, t = (_Var(tape, name) for name in ("lam", "a", "b", "t"))
+    source = _kernel_source(tape, _system_forms(which, systems, lam, a, b, t))
+    scope = {"c_k": c_k, "s_k": s_k}
+    exec(compile(source, "<%s %s kernel>" % (which, " ".join(systems)), "exec"), scope)
+    return scope["kernel"]
+
+
+def _system_parts(which, systems, lam, a, b, t):
+    """[(r0, r1)] per system at t, sharing one frame: _system_forms, run by
+    the kernel of (which, systems)."""
+    return _kernel(which, tuple(systems))(lam, a, b, t)
 
 
 def residual_parts(which, system, lam, a, b, t):

@@ -457,6 +457,14 @@ def s_k(k):
 
 UNKNOWNS = ("lam", "a", "b", "mu")
 _UNKNOWN_INDEX = {name: i for i, name in enumerate(UNKNOWNS)}
+
+
+def _unknown_index(name):
+    """The position of name in UNKNOWNS; ValueError naming it otherwise."""
+    i = _UNKNOWN_INDEX.get(name)
+    if i is None:
+        raise ValueError("%r is not an unknown: the unknowns are %s" % (name, ", ".join(UNKNOWNS)))
+    return i
 _ZERO_EXP = (0, 0, 0, 0)
 
 
@@ -477,7 +485,7 @@ class ParamPoly(_Terms):
     @staticmethod
     def unknown(name):
         exp = [0, 0, 0, 0]
-        exp[_UNKNOWN_INDEX[name]] = 1
+        exp[_unknown_index(name)] = 1
         return ParamPoly({tuple(exp): TRIG_ONE})
 
     def __mul__(self, other):
@@ -512,9 +520,7 @@ class ParamPoly(_Terms):
         bound = []          # (unknown index, [1, val, val**2, ...] as tuples)
         keep = [1, 1, 1, 1]
         for name, value in bindings.items():
-            i = _UNKNOWN_INDEX.get(name)
-            if i is None:
-                raise ValueError("cannot bind %r: the unknowns are %s" % (name, ", ".join(UNKNOWNS)))
+            i = _unknown_index(name)
             bound.append((i, [_ONE_V, AlgebraicScalar.coerce(value)._v]))
             keep[i] = 0
         k0, k1, k2, k3 = keep
@@ -537,12 +543,12 @@ class ParamPoly(_Terms):
         })
 
     def degree_in(self, name):
-        i = _UNKNOWN_INDEX[name]
+        i = _unknown_index(name)
         return max((exp[i] for exp in self.terms), default=0)
 
     def coefficient_of(self, name, power):
         """Coefficient ParamPoly of name**power."""
-        i = _UNKNOWN_INDEX[name]
+        i = _unknown_index(name)
         return ParamPoly._made({
             exp[:i] + (0,) + exp[i + 1:]: c for exp, c in self.terms.items() if exp[i] == power
         })

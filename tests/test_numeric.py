@@ -310,6 +310,66 @@ def test_one_system_builds_the_parts_of_both(which, lam, a, b, t):
                 np.testing.assert_array_equal(g[m], w[m])
 
 
+_SYSTEM_TUPLES = [("nhf",), ("flow",), ("nhf", "flow")]
+_NODES5 = 2.0 * np.cos(np.pi * (np.arange(5) + 0.5) / 5)
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("systems", _SYSTEM_TUPLES)
+@pytest.mark.parametrize("lam, a, b, t", [
+    (0.9, 0.4, -0.3, 0.6),
+    # the shapes of _model's call of _coefficients: lam (k, 1, 1), t (run, 1, 1, 1)
+    (_NODES5[:, None, None], _NODES5[:, None], _NODES5,
+     np.reshape(numeric.default_t_samples(), (-1, 1, 1, 1))),
+    tuple(np.complex128(z) for z in (0.9 + 0.3j, 0.4 - 0.2j, -0.3 + 0.5j, 0.6 + 0.1j)),
+], ids=["floats", "broadcast", "complex"])
+def test_kernel_matches_the_dict_algebra_bit_for_bit(which, systems, lam, a, b, t):
+    # the kernel records the float operations of _system_forms, so it gives
+    # the same values, types, keys and key order, bit for bit
+    got = numeric._system_parts(which, systems, lam, a, b, t)
+    want = numeric._system_forms(which, systems, lam, a, b, t)
+    assert type(got) is list and len(got) == len(want) == len(systems)
+    for got_pair, want_pair in zip(got, want):
+        assert type(got_pair) is tuple and len(got_pair) == 2
+        for g, w in zip(got_pair, want_pair):
+            assert list(g) == list(w)
+            for m in w:
+                assert type(g[m]) is type(w[m])
+                np.testing.assert_array_equal(g[m], w[m])
+                assert np.asarray(g[m]).tobytes() == np.asarray(w[m]).tobytes()
+
+
+def test_building_kernels_rebinds_no_numeric_attribute(fresh_models):
+    before = dict(vars(numeric))
+    for which in ("s7", "b7"):
+        for systems in _SYSTEM_TUPLES:
+            numeric._kernel(which, systems)
+    assert numeric._kernel.cache_info().currsize == 6
+    after = vars(numeric)
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []
+
+
+@pytest.mark.parametrize("which, systems, message", [
+    ("x7", ("nhf",), "unknown family 'x7'"),
+    ("s7", ("nhf", "x"), "unknown system 'x'"),
+    ("b7", ("flow", "nhf"), "systems must be one of"),
+    ("b7", (), "systems must be one of"),
+])
+def test_unknown_family_or_systems_refused_before_recording(monkeypatch, fresh_models,
+                                                             which, systems, message):
+    def never(*args):
+        raise AssertionError("recorded")
+
+    monkeypatch.setattr(numeric, "_system_forms", never)
+    with pytest.raises(ValueError, match=message):
+        numeric._system_parts(which, systems, 0.9, 0.4, -0.3, 0.6)
+    if len(systems) == 1:
+        with pytest.raises(ValueError, match=message):
+            numeric.residual_parts(which, systems[0], 0.9, 0.4, -0.3, 0.6)
+    assert numeric._kernel.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("which", ["s7", "b7"])
 @pytest.mark.parametrize("system", ["nhf", "flow"])
 def test_python_float_point_matches_the_array_path(which, system):
@@ -469,11 +529,13 @@ def test_model_matches_direct_rows(which, system):
 
 @pytest.fixture
 def fresh_models():
-    # the model rows are built from the model, so they go with it
-    for cache in (numeric._model, numeric._model_rows):
+    # the model rows are built from the model, so they go with it; the
+    # kernels go too, so that a patched frame_z is recorded into new ones
+    caches = (numeric._model, numeric._model_rows, numeric._kernel)
+    for cache in caches:
         cache.cache_clear()
     yield
-    for cache in (numeric._model, numeric._model_rows):
+    for cache in caches:
         cache.cache_clear()
 
 

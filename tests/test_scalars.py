@@ -257,6 +257,14 @@ def test_bind_refuses_a_name_that_is_not_an_unknown():
             p.bind(bad)
 
 
+def test_degree_and_coefficient_refuse_a_name_that_is_not_an_unknown():
+    p = LAM * A_UNK + MU
+    for bad in ("lambda", "t", "x"):
+        for call in (lambda: p.degree_in(bad), lambda: p.coefficient_of(bad, 1)):
+            with pytest.raises(ValueError, match="%r is not an unknown" % bad):
+                call()
+
+
 def test_param_poly_refuses_an_exponent_that_is_not_an_int():
     # a float exponent would render as "lam" and equal LAM, then break bind
     for exp in ((1.0, 0, 0, 0), (0, 0, Fraction(1), 0), (0, 2, 0, 0.5)):
