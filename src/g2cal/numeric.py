@@ -368,7 +368,7 @@ def _kernel(which, systems):
 def _system_parts(which, systems, lam, a, b, t):
     """[(r0, r1)] per system at t, sharing one frame: _system_forms, run by
     the kernel of (which, systems)."""
-    return _kernel(which, tuple(systems))(lam, a, b, t)
+    return _kernel(which, systems)(lam, a, b, t)
 
 
 def residual_parts(which, system, lam, a, b, t):
