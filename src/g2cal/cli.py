@@ -139,7 +139,8 @@ def _report_text(rep):
     line = "%-28s %s" % (rep.identity, rep.status)
     if rep.mu is not None:
         m = _mu_json(rep.mu)
-        line += "  mu = %s%s (%.12g)" % (m["sign"], m["exact"], m["approx"])
+        approx = -m["approx"] if m["sign"] == "-" else m["approx"]
+        line += "  mu = %s%s (%.12g)" % (m["sign"], m["exact"], approx)
     if rep.residual:
         line += "  [%s]" % rep.residual
     return line

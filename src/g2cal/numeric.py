@@ -4,23 +4,27 @@ Reimplements the two ansatz families and their hypersurface residuals
 over real floats, with no exact-engine code paths, to cross-check exact
 results and drive the parameter sweep.  Each Z_k is a pair (U_k, V_k) of
 real 1-forms, Z_k = U_k + i V_k, so every residual coefficient is a real
-polynomial in (lam, a, b, mu), and one over C too.  Coefficients may be
-numpy arrays, so many points are evaluated at once; at a point of
-Python floats they are Python floats, since c_k and s_k take math's cos
-and sin for a Python-float t.  _system_forms builds of Xi = Z_1 ^ Z_2 ^
-Z_3 only the halves its systems read: Re Xi for nhf, Im Xi for flow.
-Its dict algebra does the same float operations at every input, so
-_system_parts runs it through a kernel (_kernel): _system_forms recorded
-once per process and (which, systems) on _Var placeholders, and compiled
-into one straight-line function, with the same bits, keys and key order
-and no dict work.  The kernel calls c_k and s_k at run time, so it keeps
-their dispatch on t's type, and deletes each temporary after its last
-use.  _coefficients is the one walk of the residual forms: it takes the t
-samples in runs of max(1, 2**14 // points), and gives each run a pair of
-arrays (c0, c1) of r0 and r1 coefficients, one row per sample, system
-and monomial.  The least-squares sums, fitted mu and max-norm are
-whole-array operations on a run's rows, and the sums add the rows
-strictly left to right, run after run, so that a point's sums do not
+polynomial in (lam, a, b, mu), and one over C too.  t enters only
+through the six angle values (c1, s1, c2, s2, c3, s3) that _angles gives,
+the cos and sin of t + (k - 1) 2 pi/3: math's for a Python-float t, so
+that a point of Python floats is evaluated in Python floats, and numpy's
+otherwise.  Coefficients may be numpy arrays, so many points are
+evaluated at once.  _system_forms builds, from lam, a, b and the angle
+values, of Xi = Z_1 ^ Z_2 ^ Z_3 only the halves its systems read: Re Xi
+for nhf, Im Xi for flow.  Its dict algebra does the same float operations
+at every input, so _system_parts runs it through a kernel (_kernel):
+_system_forms recorded once per process and (which, systems) on _Var
+placeholders, one statement per distinct expression, and compiled into
+one straight-line function of the same nine arguments, with the same
+bits, keys and key order and no dict work.  The kernel reads nothing but
+its arguments, so floats, arrays, complex values and any other number
+type with +, - and * run the same code; it deletes each temporary after
+its last use.  _coefficients is the one walk of the residual forms: it
+takes the t samples in runs of max(1, 2**14 // points), and gives each
+run a pair of arrays (c0, c1) of r0 and r1 coefficients, one row per
+sample, system and monomial.  The least-squares sums, fitted mu and
+max-norm are whole-array operations on a run's rows, and the sums add the
+rows strictly left to right, run after run, so that a point's sums do not
 depend on the rest of its batch.
 
 _model fits each system once per process, from one _coefficients call,
@@ -54,19 +58,15 @@ import numbers
 import numpy as np
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_SHIFTS = tuple((k - 1) * _TWO_THIRDS_PI for k in (1, 2, 3))
 
 
-# c_k and s_k take math's cos and sin for a Python float t, so that a
-# point of Python floats is evaluated in float arithmetic throughout, and
-# numpy's for anything else (arrays, numpy scalars, complex values).
-def c_k(k, t):
-    x = t + (k - 1) * _TWO_THIRDS_PI
-    return math.cos(x) if t.__class__ is float else np.cos(x)
-
-
-def s_k(k, t):
-    x = t + (k - 1) * _TWO_THIRDS_PI
-    return math.sin(x) if t.__class__ is float else np.sin(x)
+def _angles(t):
+    """(c1, s1, c2, s2, c3, s3): cos and sin of t + (k - 1) 2 pi/3, by
+    math for a Python float t and by numpy otherwise."""
+    cos, sin = (math.cos, math.sin) if t.__class__ is float else (np.cos, np.sin)
+    x1, x2, x3 = t + _SHIFTS[0], t + _SHIFTS[1], t + _SHIFTS[2]
+    return cos(x1), sin(x1), cos(x2), sin(x2), cos(x3), sin(x3)
 
 
 # _merge and _d_monomial are memoised: their keys are index tuples over
@@ -176,18 +176,18 @@ def d_form(f, which):
     return out
 
 
-def frame_z(which, lam, a, b, t):
-    """Z_k and dZ_k/dt as pairs (U, V) of real 1-forms, Z = U + i V."""
+def frame_z(which, lam, a, b, c1, s1, c2, s2, c3, s3):
+    """Z_k and dZ_k/dt as pairs (U, V) of real 1-forms, Z = U + i V, from
+    the angle values of _angles."""
     zs, dzs = [], []
-    for k in (1, 2, 3):
-        ck, sk = c_k(k, t), s_k(k, t)
+    for k, (ck, sk) in enumerate(((c1, s1), (c2, s2), (c3, s3)), 1):
         e, f = k - 1, 3 + k - 1
         if which == "s7":
-            # Z_k = lam f_k + (lam (a c_k + b) + 4 i s_k) e_k
+            # Z_k = lam f_k + (lam (a ck + b) + 4 i sk) e_k
             zs.append(({(f,): lam, (e,): lam * (a * ck + b)}, {(e,): 4 * sk}))
             dzs.append(({(e,): -lam * a * sk}, {(e,): 4 * ck}))
         else:
-            # Z_k = (2 lam + i b) p_k + (2 lam a c_k + 2 i s_k) n_k
+            # Z_k = (2 lam + i b) p_k + (2 lam a ck + 2 i sk) n_k
             zs.append(({(e,): 2 * lam, (f,): 2 * lam * a * ck}, {(e,): b, (f,): 2 * sk}))
             dzs.append(({(f,): -2 * lam * a * sk}, {(f,): 2 * ck}))
     return zs, dzs
@@ -210,18 +210,18 @@ def _cwedge(x, y, out=(None, None)):
     return _re_wedge(x, y, out[0]), _im_wedge(x, y, out[1])
 
 
-def _system_forms(which, systems, lam, a, b, t):
-    """[(r0, r1)] per system at t, sharing one frame: the definition of
-    _system_parts, in the dict algebra above.
+def _system_forms(which, systems, lam, a, b, c1, s1, c2, s2, c3, s3):
+    """[(r0, r1)] per system at the angle values of one t, sharing one
+    frame: the definition of _system_parts, in the dict algebra above.
 
-    t is one sample, or an array of samples on a leading axis in front of
-    the batch axes of (lam, a, b).  Builds xi = sum U_k ^ V_k and
-    Z_1 ^ Z_2 once, and of Xi = Z_1 ^ Z_2 ^ Z_3 only the halves the systems
-    read: Re Xi for "nhf", Im Xi for "flow", both (Re Xi first, as
-    _cwedge takes them) for the two.  d/dt Re Xi, which shares Z_1 ^ Z_2
-    with Xi, is built only for "flow".
+    The angle values are those of one sample, or of an array of samples
+    on a leading axis in front of the batch axes of (lam, a, b).  Builds
+    xi = sum U_k ^ V_k and Z_1 ^ Z_2 once, and of Xi = Z_1 ^ Z_2 ^ Z_3
+    only the halves the systems read: Re Xi for "nhf", Im Xi for "flow",
+    both (Re Xi first, as _cwedge takes them) for the two.  d/dt Re Xi,
+    which shares Z_1 ^ Z_2 with Xi, is built only for "flow".
     """
-    zs, dzs = frame_z(which, lam, a, b, t)
+    zs, dzs = frame_z(which, lam, a, b, c1, s1, c2, s2, c3, s3)
     xi = add(*(wedge(u, v) for u, v in zs))
     z12 = _cwedge(zs[0], zs[1])
     re_xi = _re_wedge(z12, zs[2]) if "nhf" in systems else None
@@ -244,12 +244,12 @@ class _Var:
     """A placeholder value of the kernel recorder.
 
     Each +, -, * and unary - on a _Var, and a constant times a _Var (as
-    in 2 * lam), appends one statement to its tape, a list shared by the
-    placeholders of one recording, and returns the _Var that names the
-    result.  np.cos and np.sin of t + (k - 1) _TWO_THIRDS_PI, as c_k and
-    s_k take them, record a call of c_k or s_k, so that the kernel
-    dispatches on t's type at run time as they do.  A constant operand
-    must be a finite int or float: it is written by repr.
+    in 2 * lam), records one statement on its tape, a dict shared by the
+    placeholders of one recording and keyed by the statement's right-hand
+    side, and returns the _Var that names the result.  A statement already
+    on the tape returns the _Var it made, so each distinct expression is
+    computed once.  A constant operand must be a finite int or float: it
+    is written by repr.
     """
 
     __slots__ = ("tape", "name", "op", "args")
@@ -261,8 +261,10 @@ class _Var:
         for x in args:
             if not isinstance(x, _Var) and not (type(x) in (int, float) and math.isfinite(x)):
                 raise TypeError("a kernel takes no constant %r" % (x,))
-        var = _Var(self.tape, "v%d" % len(self.tape), op, args)
-        self.tape.append(var)
+        key = (op, *map(_operand, args))
+        var = self.tape.get(key)
+        if var is None:
+            var = self.tape[key] = _Var(self.tape, "v%d" % len(self.tape), op, args)
         return var
 
     def __add__(self, other):
@@ -280,19 +282,8 @@ class _Var:
     def __neg__(self):
         return self._record("neg", self)
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        call = {np.cos: "c_k", np.sin: "s_k"}.get(ufunc)
-        if call and method == "__call__" and inputs == (self,) and not kwargs and self.op == "+":
-            t, shift = self.args
-            k = round(shift / _TWO_THIRDS_PI) + 1 if type(shift) is float else None
-            if getattr(t, "name", None) == "t" and k in (1, 2, 3) and (k - 1) * _TWO_THIRDS_PI == shift:
-                return self._record(call, k)
-        raise TypeError("a kernel reads t through c_k and s_k only, not %s" % (ufunc,))
-
     def source(self):
         """The statement's right-hand side."""
-        if self.op in ("c_k", "s_k"):
-            return "%s(%d, t)" % (self.op, self.args[0])
         if self.op == "neg":
             return "-" + self.args[0].name
         return "%s %s %s" % (_operand(self.args[0]), self.op, _operand(self.args[1]))
@@ -302,16 +293,24 @@ def _operand(x):
     return x.name if isinstance(x, _Var) else repr(x)
 
 
-def _kernel_source(tape, parts):
-    """The source of `kernel(lam, a, b, t)`: the statements of the tape that
-    the forms `parts` read, in order, each temporary deleted after its last
-    use, and a return of `parts` with the same keys in the same order."""
+# The arguments of every kernel: the point and the angle values of _angles.
+_ARGUMENTS = ("lam", "a", "b", "c1", "s1", "c2", "s2", "c3", "s3")
+
+
+def _kernel_source(which, systems):
+    """The source of `kernel(lam, a, b, c1, s1, c2, s2, c3, s3)`: the
+    statements that _system_forms(which, systems, ...) records on _Var
+    placeholders and that its forms `parts` read, in order, each temporary
+    deleted after its last use, and a return of `parts` with the same keys
+    in the same order."""
+    tape = {}
+    parts = _system_forms(which, systems, *(_Var(tape, name) for name in _ARGUMENTS))
     outputs = {v.name for pair in parts for form in pair for v in form.values() if isinstance(v, _Var)}
     live = set(outputs)
-    for var in reversed(tape):
+    for var in reversed(tape.values()):
         if var.name in live:
             live.update(x.name for x in var.args if isinstance(x, _Var))
-    statements = [var for var in tape if var.name in live]
+    statements = [var for var in tape.values() if var.name in live]
     last = {}  # temporary -> the statement that reads it last
     for i, var in enumerate(statements):
         for x in var.args:
@@ -320,7 +319,7 @@ def _kernel_source(tape, parts):
     dead = [[] for _ in statements]
     for name, i in last.items():
         dead[i].append(name)
-    lines = ["def kernel(lam, a, b, t):"]
+    lines = ["def kernel(%s):" % ", ".join(_ARGUMENTS)]
     for var, names in zip(statements, dead):
         lines.append("    %s = %s" % (var.name, var.source()))
         if names:
@@ -341,14 +340,15 @@ _SYSTEMS = (("nhf",), ("flow",), ("nhf", "flow"))
 @functools.cache
 def _kernel(which, systems):
     """_system_forms(which, systems, ...) compiled into one straight-line
-    function of (lam, a, b, t).
+    function of (lam, a, b, c1, s1, c2, s2, c3, s3).
 
     Records _system_forms once on _Var placeholders and compiles the
-    statements it made.  So a kernel performs the same float operations
-    in the same order as the dict algebra, and gives the same bits and
-    the same keys in the same order, with none of the dict work.  which
-    and systems are checked before recording: at most 2 x 3 kernels are
-    built in a process.
+    statements it made, each distinct expression once, into a scope of
+    its own.  So a kernel performs the same float operations in the same
+    order as the dict algebra, and gives the same bits and the same keys
+    in the same order, with none of the dict work.  which and systems are
+    checked before recording: at most 2 x 3 kernels are built in a
+    process.
     """
     if which not in _STRUCTURE:
         raise ValueError("unknown family %r" % (which,))
@@ -357,18 +357,16 @@ def _kernel(which, systems):
             raise ValueError("unknown system %r" % (system,))
     if systems not in _SYSTEMS:
         raise ValueError("systems must be one of %s, got %r" % (", ".join(map(repr, _SYSTEMS)), systems))
-    tape = []
-    lam, a, b, t = (_Var(tape, name) for name in ("lam", "a", "b", "t"))
-    source = _kernel_source(tape, _system_forms(which, systems, lam, a, b, t))
-    scope = {"c_k": c_k, "s_k": s_k}
+    source = _kernel_source(which, systems)
+    scope = {}
     exec(compile(source, "<%s %s kernel>" % (which, " ".join(systems)), "exec"), scope)
     return scope["kernel"]
 
 
 def _system_parts(which, systems, lam, a, b, t):
     """[(r0, r1)] per system at t, sharing one frame: _system_forms, run by
-    the kernel of (which, systems)."""
-    return _kernel(which, systems)(lam, a, b, t)
+    the kernel of (which, systems) on the angle values of t."""
+    return _kernel(which, systems)(lam, a, b, *_angles(t))
 
 
 def residual_parts(which, system, lam, a, b, t):

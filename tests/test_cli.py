@@ -183,6 +183,13 @@ def test_coframe_with_nonzero_d_squared_becomes_fails_report(capsys, monkeypatch
     assert rep["residual"] == "d^2 != 0"
 
 
+def test_text_report_prints_mu_with_its_sign(capsys):
+    # the exact value and its decimal carry the same sign
+    code, out, _ = run(capsys, "verify", "--space", "b7")
+    assert code == 0
+    assert "np2-b7                       holds-with-mu  mu = -6/sqrt5 (-2.683281573)" in out.splitlines()
+
+
 def test_report_all_checks_d_squared_once_per_coframe(capsys, monkeypatch):
     calls = []
     check = exterior.d_squared_check

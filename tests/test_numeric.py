@@ -327,7 +327,7 @@ def test_kernel_matches_the_dict_algebra_bit_for_bit(which, systems, lam, a, b, 
     # the kernel records the float operations of _system_forms, so it gives
     # the same values, types, keys and key order, bit for bit
     got = numeric._system_parts(which, systems, lam, a, b, t)
-    want = numeric._system_forms(which, systems, lam, a, b, t)
+    want = numeric._system_forms(which, systems, lam, a, b, *numeric._angles(t))
     assert type(got) is list and len(got) == len(want) == len(systems)
     for got_pair, want_pair in zip(got, want):
         assert type(got_pair) is tuple and len(got_pair) == 2
@@ -337,6 +337,78 @@ def test_kernel_matches_the_dict_algebra_bit_for_bit(which, systems, lam, a, b, 
                 assert type(g[m]) is type(w[m])
                 np.testing.assert_array_equal(g[m], w[m])
                 assert np.asarray(g[m]).tobytes() == np.asarray(w[m]).tobytes()
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("systems", _SYSTEM_TUPLES)
+def test_kernel_computes_each_expression_once_from_its_arguments(which, systems):
+    # no two statements share a right-hand side, and the kernel reads no
+    # name but its arguments: its scope holds only itself and the builtins
+    source = numeric._kernel_source(which, systems)
+    statements = [line.split(" = ", 1)[1] for line in source.splitlines() if " = " in line]
+    assert statements and len(set(statements)) == len(statements)
+    kernel = numeric._kernel(which, systems)
+    assert set(kernel.__globals__) == {"__builtins__", "kernel"}
+
+
+class _Dual:
+    """x + dx e with e^2 = 0: forward-mode derivatives by plain +, - and *."""
+
+    __slots__ = ("x", "dx")
+
+    def __init__(self, x, dx=0.0):
+        self.x, self.dx = x, dx
+
+    def __add__(self, other):
+        other = _dual(other)
+        return _Dual(self.x + other.x, self.dx + other.dx)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _dual(other)
+        return _Dual(self.x - other.x, self.dx - other.dx)
+
+    def __rsub__(self, other):
+        return _dual(other) - self
+
+    def __mul__(self, other):
+        other = _dual(other)
+        return _Dual(self.x * other.x, self.dx * other.x + self.x * other.dx)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Dual(-self.x, -self.dx)
+
+
+def _dual(x):
+    return x if isinstance(x, _Dual) else _Dual(x)
+
+
+@pytest.mark.parametrize("which", ["s7", "b7"])
+@pytest.mark.parametrize("systems", _SYSTEM_TUPLES)
+def test_kernel_runs_on_a_number_type_it_does_not_know(which, systems):
+    # dual numbers as the angle values, (cos x, -sin x) and (sin x, cos x),
+    # carry d/dt through the same compiled code; the complex step of
+    # Squire and Trapp gives the same derivative from the complex path
+    rng = random.Random(zlib.crc32(("dual-%s-%s" % (which, " ".join(systems))).encode()))
+    for _ in range(5):
+        lam, a, b = rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        t = rng.uniform(0.05, math.pi / 3 - 0.05)
+        angles = []
+        for k in (1, 2, 3):
+            x = t + (k - 1) * 2.0 * math.pi / 3.0
+            angles += (_Dual(math.cos(x), -math.sin(x)), _Dual(math.sin(x), math.cos(x)))
+        got = numeric._kernel(which, systems)(lam, a, b, *angles)
+        step = numeric._system_parts(which, systems, lam, a, b, np.complex128(t + 1e-30j))
+        assert len(got) == len(step) == len(systems)
+        for got_pair, step_pair in zip(got, step):
+            for g, w in zip(got_pair, step_pair):
+                assert list(g) == list(w)
+                for m in w:
+                    dt = g[m].dx if isinstance(g[m], _Dual) else 0.0
+                    assert abs(dt - w[m].imag / 1e-30) <= 1e-12
 
 
 def test_building_kernels_rebinds_no_numeric_attribute(fresh_models):
@@ -549,8 +621,8 @@ def fresh_models():
 def test_model_gates_raise(monkeypatch, fresh_models, which, system, change, message):
     frame_z = numeric.frame_z
 
-    def changed(which, lam, a, b, t):
-        zs, dzs = frame_z(which, lam, a, b, t)
+    def changed(which, lam, a, b, *angles):
+        zs, dzs = frame_z(which, lam, a, b, *angles)
         u, v = zs[0]
         first = next(iter(u))
         zs[0] = ({**u, first: change(u[first], lam)}, v)
