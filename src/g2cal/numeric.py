@@ -27,14 +27,14 @@ max-norm are whole-array operations on a run's rows, and the sums add the
 rows strictly left to right, run after run, so that a point's sums do not
 depend on the rest of its batch.
 
-_model fits each system once per process, from one _coefficients call,
-as a polynomial of degree <= 3 in each of lam, a and b with Fourier modes
-|k| <= 3 in t, and refuses the fit with ArithmeticError when it finds
-degree or mode 4 or a coefficient that is neither rounding nor a true
-one.  The model only steers the sweep: it gives the screen's node sums
-and each Gauss-Newton step with its exact Jacobian, from its rows at the
-sweep's t samples, built once per sweep (_model_rows).  Every number the
-sweep reports (hits, minima, residuals) is the direct evaluator's.
+_model reads each system off its kernel once per process: run on _Poly
+variables, polynomials over its nine arguments, the kernel gives every r0
+and r1 coefficient as a polynomial in lam, a, b and the angle values, with
+no fit and no degree bound.  The model only steers the sweep: it gives the
+screen's node sums and each Gauss-Newton step with its exact Jacobian,
+from its rows at the sweep's t samples, built once per numeric_sweep call
+(_model_rows) and not kept.  Every number the sweep reports (hits, minima,
+residuals) is the direct evaluator's.
 
 The sweep screens every lambda slice with least-squares sums interpolated
 from Chebyshev nodes in (a, b), exact since they have low degree there,
@@ -380,6 +380,12 @@ def residual_parts(which, system, lam, a, b, t):
 _RUN_ELEMENTS = 2**14
 
 
+def _rows(parts):
+    """[(v0, v1)] per row of one sample, the one home of the row order: per
+    (r0, r1) of parts, their values at each monomial of either, or 0.0."""
+    return [(r0.get(m, 0.0), r1.get(m, 0.0)) for r0, r1 in parts for m in set(r0) | set(r1)]
+
+
 def _coefficients(which, system, lam, a, b, t_samples):
     """[(c0, c1)] per run of samples, in sample order: the coefficients of
     r0 and r1, one row per sample, system and monomial, in that order.
@@ -397,11 +403,7 @@ def _coefficients(which, system, lam, a, b, t_samples):
     runs = []
     for start in range(0, len(t_samples), run):
         t = np.reshape(t_samples[start : start + run], (-1,) + (1,) * len(shape))
-        parts = [
-            (r0.get(m, 0.0), r1.get(m, 0.0))
-            for r0, r1 in _system_parts(which, systems, lam, a, b, t)
-            for m in set(r0) | set(r1)
-        ]
+        parts = _rows(_system_parts(which, systems, lam, a, b, t))
         rows = (t.shape[0] * len(parts),) + shape
         dtype = np.result_type(lam, a, b, t)
         c0, c1 = np.empty(rows, dtype), np.empty(rows, dtype)
@@ -413,100 +415,93 @@ def _coefficients(which, system, lam, a, b, t_samples):
     return runs
 
 
-# The polynomial model of each system.  Every r0 and r1 coefficient has
-# degree <= _DEGREE in each of lam, a and b and Fourier modes |k| <= _DEGREE
-# in t: Re Xi, Im Xi and d/dt Re Xi are cubic in the Z_k, each affine in
-# lam, a and b with modes |k| <= 1, and xi ^ xi stays within that bound.
-# The fit allows one degree and one mode more, which must come out zero.
-_DEGREE = 3
-# A fitted coefficient at most _ZERO times the largest is rounding, and is
-# stored as exactly 0; a true one is at least _TRUE times the largest.
-_ZERO = 1e-12
-_TRUE = 1e-6
+class _Poly(dict):
+    """{exponents: coefficient}, a polynomial over the kernel's arguments, one
+    exponent per name of _ARGUMENTS; an int or float operand is a constant."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for e, c in _poly(other).items():
+            out[e] = out.get(e, 0.0) + c
+        return out
+
+    def __mul__(self, other):
+        out, other = _Poly(), _poly(other)
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0.0) + c1 * c2
+        return out
+
+    def __neg__(self):
+        return _Poly({e: -c for e, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -_poly(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def _trig(t, modes):
-    """(len(t), 2 modes + 1): 1, cos t, sin t, ..., cos(modes t), sin(modes t)."""
-    kt = np.multiply.outer(t, np.arange(1, modes + 1))
-    waves = np.stack([np.cos(kt), np.sin(kt)], axis=-1).reshape(len(t), -1)
-    return np.column_stack([np.ones(len(t)), waves])
+def _poly(x):
+    return x if isinstance(x, _Poly) else _Poly({(0,) * len(_ARGUMENTS): float(x)})
 
 
 @functools.cache
 def _model(which, system):
-    """(exps, coef): the r0 and r1 coefficients of `system` as polynomials.
+    """(exps, angles, coef): the r0 and r1 coefficients of `system` as
+    polynomials, read off its kernel run once on _Poly variables.
 
     exps (M, 3) holds the exponents of lam, a and b of the M monomials that
-    occur, and coef (2 _DEGREE + 1, 2, rows, M) their coefficients per mode
-    of _trig, part (r0, r1) and row of one sample of _coefficients.  Fitted
-    from one _coefficients call on a 5 x 5 x 5 grid of Chebyshev nodes
-    spanning [-2, 2] in (lam, a, b), at 9 equispaced t.  Raises
-    ArithmeticError when a coefficient lies between rounding and a true
-    one, or when degree 4 or mode 4 is not zero: then the degree bound is
-    wrong, and the model would be too.
+    occur, angles (K, 6) those of (c1, s1, c2, s2, c3, s3) of the K angle
+    monomials that occur, and coef (K, 2, rows, M) their coefficients per
+    angle monomial, part (r0, r1) and row of one sample of _coefficients.
     """
-    nodes = 2.0 * np.cos(np.pi * (np.arange(5) + 0.5) / 5)
-    t = 2.0 * np.pi * np.arange(9) / 9
-    runs = _coefficients(which, system, nodes[:, None, None], nodes[:, None], nodes, t)
-    values = np.stack([np.concatenate(part) for part in zip(*runs)]).reshape(2, 9, -1, 5, 5, 5)
-    power = np.linalg.inv(np.vander(nodes, increasing=True))
-    trig = np.linalg.inv(_trig(t, 4))
-    coef = np.einsum("ms,pi,qj,rl,zsnijl->mznpqr", trig, power, power, power, values, optimize=True)
-    size = np.abs(coef) / np.max(np.abs(coef))
-    name = "the %s %s model" % (which, system)
-    if np.any((_ZERO < size) & (size < _TRUE)):
-        raise ArithmeticError("%s has a coefficient %.3g times the largest, neither rounding nor"
-                              " a true one" % (name, np.min(size[_ZERO < size])))
-    coef[size <= _ZERO] = 0.0
-    low = coef[: 2 * _DEGREE + 1, ..., : _DEGREE + 1, : _DEGREE + 1, : _DEGREE + 1]
-    if np.count_nonzero(low) < np.count_nonzero(coef):
-        raise ArithmeticError("%s has degree or mode %d: the degree bound is wrong"
-                              % (name, _DEGREE + 1))
-    occurs = np.any(low, axis=(0, 1, 2))
-    return np.argwhere(occurs), low[..., occurs]
+    variables = [_Poly({tuple(e): 1.0}) for e in np.eye(len(_ARGUMENTS), dtype=int).tolist()]
+    systems = ("nhf", "flow") if system == "both" else (system,)
+    rows = _rows(_kernel(which, systems)(*variables))
+    exponents, part, row, c = zip(*((e, part, row, c) for row, pair in enumerate(rows)
+                                    for part, v in enumerate(pair) for e, c in _poly(v).items() if c))
+    exps, at = np.unique(np.array(exponents)[:, :3], axis=0, return_inverse=True)
+    angles, wave = np.unique(np.array(exponents)[:, 3:], axis=0, return_inverse=True)
+    coef = np.zeros((len(angles), 2, len(rows), len(exps)))
+    coef[wave, part, row, at] = c
+    return exps, angles, coef
 
 
-def _model_terms(coef, t):
-    """(2, len(t)·rows, M): per part, the rows of _coefficients at the
-    samples t, as coefficients of the monomials."""
-    terms = np.tensordot(_trig(t, _DEGREE), coef, axes=1)  # sample, part, row, monomial
-    return terms.transpose(1, 0, 2, 3).reshape(2, -1, coef.shape[-1])
-
-
-@functools.lru_cache(maxsize=4)
 def _model_rows(which, system, t_samples):
-    """(exps, terms): the monomials of _model and the read-only _model_terms
-    at the tuple of samples t_samples.
-
-    Cached, so a sweep builds them once, for the node sums of every pack
-    and every polish.  An entry holds one float per sample, part, row and
-    monomial: at most 3.7 kB per sample (b7 both).
-    """
-    exps, coef = _model(which, system)
-    terms = _model_terms(coef, np.asarray(t_samples))
-    terms.flags.writeable = False
-    return exps, terms
+    """(exps, terms): the monomials of _model and, per part, the rows of
+    _coefficients at the samples t_samples as coefficients of those
+    monomials, (2, len(t_samples)·rows, M).  numeric_sweep builds them once
+    per call, for the node sums of every pack and every polish."""
+    exps, angles, coef = _model(which, system)
+    waves = _monomials(angles, *_angles(np.asarray(t_samples)))  # angle monomial, sample
+    terms = np.tensordot(waves, coef, axes=(0, 0))  # sample, part, row, monomial
+    return exps, terms.transpose(1, 0, 2, 3).reshape(2, -1, coef.shape[-1])
 
 
-def _powers(x):
-    """(_DEGREE + 1, *x.shape): x**0, x**1, ..., x**_DEGREE."""
+def _powers(x, degree):
+    """(degree + 1, *x.shape): x**0, x**1, ..., x**degree."""
     powers = [np.ones_like(x)]
-    for _ in range(_DEGREE):
+    for _ in range(degree):
         powers.append(powers[-1] * x)
     return np.stack(powers)
 
 
-def _monomials(exps, lam, a, b):
-    """(M, points): the monomials exps at the points (lam, a, b), broadcast
-    and flattened."""
-    zero = np.zeros(np.broadcast(lam, a, b).shape)
-    powers = _powers(np.stack([np.ravel(x + zero) for x in (lam, a, b)]))
-    return powers[exps, np.arange(3)].prod(axis=1)
+def _monomials(exps, *xs):
+    """(M, points): the monomials exps (M, len(xs)) at the points xs,
+    broadcast and flattened."""
+    zero = np.zeros(np.broadcast(*xs).shape)
+    powers = _powers(np.stack([np.ravel(x + zero) for x in xs]), exps.max())
+    return powers[exps, np.arange(len(xs))].prod(axis=1)
 
 
-def _model_coefficients(which, system, lam, a, b, t_samples):
-    """_coefficients from the model: the same runs, rows and shapes, to rounding."""
-    exps, terms = _model_rows(which, system, tuple(t_samples))
+def _model_coefficients(model_rows, lam, a, b, t_samples):
+    """_coefficients from the model_rows of _model_rows at t_samples: the
+    same runs, rows and shapes, to rounding."""
+    exps, terms = model_rows
     rows = terms.shape[1] // len(t_samples)  # per sample
     shape = np.broadcast(lam, a, b).shape
     monomials = _monomials(exps, lam, a, b)
@@ -700,14 +695,15 @@ def _slack(scales, mu):
     return _SUM_RTOL * (scales[2] + 2.0 * np.abs(mu) * scales[0] + mu * mu * scales[1])
 
 
-def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
+def _screen(which, system, lams, avals, bvals, t_samples, tolerance, model_rows):
     """Grid hits and the max-norm minimum of each lam slice avals x bvals.
 
     lams is an array.  Returns [(hits, (res, lam, a, b, mu))], one entry
     per lam, each the same as best_mu_residual on that slice's whole mesh
     with ties taken in row-major order.  The least-squares sums are taken
-    from the model at _NODES x _NODES nodes and interpolated to the mesh,
-    giving ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
+    from model_rows, the model's rows at t_samples (_model_rows), at
+    _NODES x _NODES nodes and interpolated to the mesh, giving
+    ss = sum (r0 - mu·r1)^2 at the fitted mu.  With n coefficients
     max^2 <= ss <= n·max^2, so once the ss-argmin's max-norm M0 is known,
     only points with exact ss <= limit = n·max(M0, tolerance)^2 can be a
     hit or the minimum.  The interpolated ss = s00 - num^2/den is off from
@@ -738,7 +734,7 @@ def _screen(which, system, lams, avals, bvals, t_samples, tolerance):
     node_sums, n = [], 0
     for pack in _packs(range(lams.size), lambda k: a_nodes.size * b_nodes.size * samples):
         runs = _model_coefficients(
-            which, system, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
+            model_rows, lams[pack][:, None, None], a_nodes[:, None], b_nodes[None, :], t_samples
         )
         node_sums.extend(zip(*_lsq(runs, squares=True)))
         n = sum(len(c0) for c0, _ in runs)  # the row count
@@ -834,9 +830,9 @@ _HALVINGS = 8
 def _monomial_jacobian(exps, point):
     """(M, 4): the monomials exps at point (lam, a, b), and their
     derivatives in lam, a and b."""
-    powers = _powers(point)
+    powers = _powers(point, exps.max())
     slopes = np.zeros_like(powers)
-    slopes[1:] = np.arange(1, _DEGREE + 1)[:, None] * powers[:-1]
+    slopes[1:] = np.arange(1, len(powers))[:, None] * powers[:-1]
     axes = np.arange(3)
     f, df = powers[exps, axes], slopes[exps, axes]  # (M, 3), one factor per variable
     return np.stack([f.prod(1)] + [np.where(axes == v, df, f).prod(1) for v in axes], axis=-1)
@@ -847,25 +843,26 @@ def _max_abs(r):
     return float(np.max(np.abs(r))) if np.all(np.isfinite(r)) else math.inf
 
 
-def _refine(which, system, point, t_samples, tolerance, bounds):
+def _refine(which, system, point, t_samples, tolerance, bounds, model_rows):
     """Gauss-Newton polish of a candidate zero; returns (point, mu, res).
 
     point is (lam, a, b, mu).  The residual coefficients r0 - mu r1 are
     polynomial in all four, so each step solves the linearised system in
-    the least-squares sense.  The steps follow the model of the system:
-    one evaluation at the point gives the residual and its exact Jacobian,
-    the derivatives of the monomials in lam, a and b, and -r1 for mu.  A
-    step that would leave `bounds` (the sweep box), change the sign of lam
-    or reach |lam| <= _LAM_FLOOR is halved up to _HALVINGS times.  The
-    polish stops where the model's residual is below `tolerance`, after
-    _STEPS steps, or when no halving of a step stays inside.  res is
-    max |residual| of one direct evaluation at the returned point and mu,
-    or inf where that residual is not finite.
+    the least-squares sense.  The steps follow model_rows, the model's
+    rows at t_samples (_model_rows): one evaluation at the point gives the
+    residual and its exact Jacobian, the derivatives of the monomials in
+    lam, a and b, and -r1 for mu.  A step that would leave `bounds` (the
+    sweep box), change the sign of lam or reach |lam| <= _LAM_FLOOR is
+    halved up to _HALVINGS times.  The polish stops where the model's
+    residual is below `tolerance`, after _STEPS steps, or when no halving
+    of a step stays inside.  res is max |residual| of one direct
+    evaluation at the returned point and mu, or inf where that residual is
+    not finite.
     """
     x = np.array(point, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    exps, terms = _model_rows(which, system, tuple(t_samples))
+    exps, terms = model_rows
     for step in range(_STEPS + 1):
         c0, c1 = terms @ _monomial_jacobian(exps, x[:3])
         r = c0[:, 0] - x[3] * c1[:, 0]
@@ -924,10 +921,12 @@ def numeric_sweep(
     lams = _grid(*lambda_range, resolution)
     avals = _grid(*a_range, resolution)
     bvals = _grid(*b_range, resolution)
+    model_rows = _model_rows(which, system, t_samples)
     hits = []
     minima = []
     for slice_hits, minimum in _screen(
-        which, system, lams[np.abs(lams) > _LAM_FLOOR], avals, bvals, t_samples, tolerance
+        which, system, lams[np.abs(lams) > _LAM_FLOOR], avals, bvals, t_samples, tolerance,
+        model_rows,
     ):
         hits.extend(slice_hits)
         minima.append(minimum)
@@ -939,7 +938,7 @@ def numeric_sweep(
         for res0, *start in minima:
             if res0 > max(100 * best, 1e3 * tolerance):
                 continue
-            point, mu, res = _refine(which, system, start, t_samples, tolerance, bounds)
+            point, mu, res = _refine(which, system, start, t_samples, tolerance, bounds, model_rows)
             if res < tolerance:
                 polished.append(_hit(*point, mu, res))
         hits = _merge_hits(polished, [_step(g) for g in (lams, avals, bvals)])
